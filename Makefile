@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify build test race vet fuzz chaos bench benchdiff cover cachesim schemes loadgen cluster
+.PHONY: verify build test race vet fuzz chaos bench benchdiff cover cachesim schemes loadgen cluster perfbench-check
 
 verify: vet build race
 
@@ -73,6 +73,16 @@ benchdiff:
 	echo "baseline: $$base"; \
 	$(MAKE) bench BENCH_FILE=BENCH_head.json && \
 	$(GO) run ./cmd/benchdiff -tolerance $(BENCH_TOLERANCE) "$$base" BENCH_head.json
+
+# Benchmark-driver guard. perfbench/ is its own module (see its go.mod), so
+# `go build ./...` here never compiles it, yet it builds against
+# server.New, server.Options and catalyst.WithMetricsOptions. This vets it
+# and runs its stack-equivalence and metric-set tests (~10 s), so an API
+# change that breaks the driver fails here rather than inside a benchmark
+# run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 \
+		-run 'TestTracedStackMatchesCatalystd|TestMetricSetMatchesBenchmarkJSON' ./...
 
 # Socket-level load smoke: drive the in-process demo site closed-loop over
 # real loopback sockets for a couple of seconds and emit both the JSON

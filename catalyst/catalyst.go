@@ -73,8 +73,6 @@ type ServerOptions struct {
 	// paper): per-session capture of requested URLs, folded into later
 	// ETag maps so JS-discovered resources are covered too.
 	Record bool
-	// MaxMapEntries caps the X-Etag-Config size; 0 means unlimited.
-	MaxMapEntries int
 	// Policy assigns Cache-Control per path; nil emits no Cache-Control
 	// (CacheCatalyst needs none — that is the point).
 	Policy func(path string) CachePolicy
@@ -123,7 +121,6 @@ func NewServer(fsys fs.FS, opts ServerOptions) (*server.Server, error) {
 	return server.New(content, server.Options{
 		Catalyst:          true,
 		Record:            opts.Record,
-		MapOptions:        core.BuildOptions{MaxEntries: opts.MaxMapEntries},
 		AccessLogSize:     opts.AccessLogSize,
 		Telemetry:         opts.Telemetry,
 		ServerTiming:      opts.ServerTiming,

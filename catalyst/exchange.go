@@ -1,6 +1,10 @@
 package catalyst
 
-import "time"
+import (
+	"time"
+
+	"cachecatalyst/internal/decorate"
+)
 
 // MapExchange is the middleware's cluster hook: a transport (see
 // internal/cluster) that carries freshly built X-Etag-Config encodings
@@ -30,12 +34,12 @@ type MapExchange interface {
 // exchangeLookup consults the configured exchange for a still-fresh peer
 // encoding of the entity ent. The nil-exchange check is here rather than
 // at the call site so the serve path stays an if/else-if chain.
-func (m *middleware) exchangeLookup(ts *tenantState, pageURL string, ent *renderEntry, now time.Time) (string, int64, bool) {
+func (m *middleware) exchangeLookup(ts *tenantState, pageURL string, ent *decorate.Entry, now time.Time) (string, int64, bool) {
 	ex := m.opts.Exchange
 	if ex == nil {
 		return "", 0, false
 	}
-	enc, exp, ok := ex.Lookup(ts.name, pageURL, ent.tagStr)
+	enc, exp, ok := ex.Lookup(ts.name, pageURL, ent.TagStr)
 	if !ok || now.UnixNano() >= exp {
 		return "", 0, false
 	}

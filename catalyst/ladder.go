@@ -2,7 +2,6 @@ package catalyst
 
 import (
 	"errors"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -30,87 +29,38 @@ import (
 // is what lets the chaos suite assert "no client-visible 5xx while a
 // stale copy exists" and "every shed request lands on one rung".
 
-// staleEntry is the last-known-good serve of one HTML page: everything
-// needed to answer without touching the inner handler.
-type staleEntry struct {
-	body  string
-	tag   etag.Tag
-	enc   string // last X-Etag-Config encoding; possibly outdated, still valid tags at serve time
-	ctype string
-	at    time.Time
-}
-
-// staleEntrySize charges an entry for its body, key and map encoding.
-func staleEntrySize(key string, e *staleEntry) int64 {
-	return int64(len(key) + len(e.body) + len(e.enc) + len(e.ctype) + 96)
-}
-
-// staleFor returns the unexpired stale entry for pageURL in the tenant's
-// stale cache, if any.
-func (m *middleware) staleFor(ts *tenantState, pageURL string) (*staleEntry, bool) {
-	if ts.stales == nil {
-		return nil, false
-	}
-	e, ok := ts.stales.Get(pageURL)
-	if !ok || time.Since(e.at) > ts.staleTTL {
-		return nil, false
-	}
-	return e, true
-}
-
-// recordStale refreshes the last-known-good copy of a page after a
-// successful instrumented serve. The hot path skips the write while the
-// existing entry still matches and is young; a quarter of the stale TTL
-// bounds how outdated the recorded timestamp may run.
-func (m *middleware) recordStale(ts *tenantState, pageURL string, ent *renderEntry, encoded string, hdr http.Header, now time.Time) {
-	if ts.stales == nil {
-		return
-	}
-	if prev, ok := ts.stales.Peek(pageURL); ok &&
-		prev.tag == ent.tag && prev.enc == encoded && now.Sub(prev.at) < ts.staleTTL/4 {
-		return
-	}
-	ts.stales.Put(pageURL, &staleEntry{
-		body:  ent.injected,
-		tag:   ent.tag,
-		enc:   encoded,
-		ctype: hdr.Get("Content-Type"),
-		at:    now,
-	})
-}
-
 // serveStale answers the request from the stale cache, if an unexpired
 // entry exists: 200 (or 304 on a matching validator) with a Warning 110
 // header, the stored body, and the last-known map. Reports whether it
 // served; reason lands on the request trace.
 func (m *middleware) serveStale(ts *tenantState, w http.ResponseWriter, r *http.Request, pageURL, reason string) bool {
-	e, ok := m.staleFor(ts, pageURL)
+	e, ok := ts.pages.Stale(pageURL)
 	if !ok {
 		return false
 	}
 	m.opts.Metrics.LadderStale.Add(1)
 	telemetry.Event(r.Context(), "stale-serve", reason)
 	h := w.Header()
-	if e.ctype != "" {
-		h.Set("Content-Type", e.ctype)
+	if e.CType != "" {
+		h.Set("Content-Type", e.CType)
 	}
-	if e.enc != "" {
-		h.Set(HeaderName, e.enc)
+	if e.Enc != "" {
+		h.Set(HeaderName, e.Enc)
 	}
-	h.Set("Etag", e.tag.String())
+	h.Set("Etag", e.Tag.String())
 	h.Set("Warning", `110 - "Response is Stale"`)
-	h.Set("Age", strconv.FormatInt(int64(time.Since(e.at)/time.Second), 10))
+	h.Set("Age", strconv.FormatInt(int64(time.Since(e.At)/time.Second), 10))
 	if m.opts.ServerTiming {
 		telemetry.AppendServerTiming(h, "stale-serve")
 	}
-	if !etag.NoneMatch(r.Header.Get("If-None-Match"), e.tag) {
+	if !etag.NoneMatch(r.Header.Get("If-None-Match"), e.Tag) {
 		w.WriteHeader(http.StatusNotModified)
 		return true
 	}
-	h.Set("Content-Length", strconv.Itoa(len(e.body)))
+	h.Set("Content-Length", strconv.Itoa(len(e.Body)))
 	w.WriteHeader(http.StatusOK)
 	if r.Method != http.MethodHead {
-		_, _ = io.WriteString(w, e.body)
+		_, _ = w.Write(e.Body)
 	}
 	return true
 }

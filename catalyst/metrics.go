@@ -107,6 +107,9 @@ type MiddlewareMetrics struct {
 	// ProbesSwept counts probe-cache entries evicted (least recently
 	// used first) to respect MiddlewareOptions.MaxProbeEntries.
 	ProbesSwept telemetry.Counter
+	// ProbesUnparsable counts subresource paths left out of a map
+	// because they are not a valid request target to probe.
+	ProbesUnparsable telemetry.Counter
 	// MapEntriesDropped counts X-Etag-Config entries removed to respect
 	// MiddlewareOptions.MaxMapBytes.
 	MapEntriesDropped telemetry.Counter
@@ -150,6 +153,7 @@ func (m *MiddlewareMetrics) RegisterTelemetry(reg *telemetry.Registry) {
 	reg.RegisterCounter("middleware.panics_recovered", &m.PanicsRecovered)
 	reg.RegisterCounter("middleware.breaker_trips", &m.BreakerTrips)
 	reg.RegisterCounter("middleware.probes_swept", &m.ProbesSwept)
+	reg.RegisterCounter("middleware.probes_unparsable", &m.ProbesUnparsable)
 	reg.RegisterCounter("middleware.map_entries_dropped", &m.MapEntriesDropped)
 	reg.RegisterCounter("middleware.renders_evicted", &m.RendersEvicted)
 	reg.RegisterCounter("middleware.encode_reuses", &m.EncodeReuses)
@@ -168,6 +172,7 @@ type MiddlewareMetricsSnapshot struct {
 	PanicsRecovered   int64 `json:"panicsRecovered"`
 	BreakerTrips      int64 `json:"breakerTrips"`
 	ProbesSwept       int64 `json:"probesSwept"`
+	ProbesUnparsable  int64 `json:"probesUnparsable"`
 	MapEntriesDropped int64 `json:"mapEntriesDropped"`
 	RendersEvicted    int64 `json:"rendersEvicted"`
 	EncodeReuses      int64 `json:"encodeReuses"`
@@ -187,6 +192,7 @@ func (m *MiddlewareMetrics) Snapshot() MiddlewareMetricsSnapshot {
 		PanicsRecovered:   m.PanicsRecovered.Load(),
 		BreakerTrips:      m.BreakerTrips.Load(),
 		ProbesSwept:       m.ProbesSwept.Load(),
+		ProbesUnparsable:  m.ProbesUnparsable.Load(),
 		MapEntriesDropped: m.MapEntriesDropped.Load(),
 		RendersEvicted:    m.RendersEvicted.Load(),
 		EncodeReuses:      m.EncodeReuses.Load(),

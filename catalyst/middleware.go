@@ -4,17 +4,15 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"sort"
-	"strconv"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-	"unicode/utf8"
 
 	"cachecatalyst/internal/cachestore"
 	"cachecatalyst/internal/core"
-	"cachecatalyst/internal/delta"
+	"cachecatalyst/internal/decorate"
 	"cachecatalyst/internal/etag"
 	"cachecatalyst/internal/resilience"
 	"cachecatalyst/internal/telemetry"
@@ -23,8 +21,6 @@ import (
 
 // MiddlewareOptions configures Middleware.
 type MiddlewareOptions struct {
-	// MaxMapEntries caps the X-Etag-Config size; 0 means unlimited.
-	MaxMapEntries int
 	// MaxMapBytes caps the *encoded* X-Etag-Config value in bytes; maps
 	// that encode larger have entries dropped (highest-sorting paths
 	// first) until they fit, so one huge page cannot blow the response
@@ -101,12 +97,10 @@ type MiddlewareOptions struct {
 	// un-instrumented rather than late.
 	RequestBudget time.Duration
 	// StaleFor is how long a successfully served page may be re-served
-	// from the stale cache (with a Warning 110 header) when the inner
-	// handler is saturated, erroring, or broken. Zero selects 5 minutes;
-	// negative disables stale serving.
+	// from the stale cache (with a Warning 110 header, up to 8 MiB of
+	// pages) when the inner handler is saturated, erroring, or broken.
+	// Zero selects 5 minutes; negative disables stale serving.
 	StaleFor time.Duration
-	// MaxStaleBytes bounds the stale cache. Zero selects 8 MiB.
-	MaxStaleBytes int64
 	// RetryAfter is the Retry-After hint on ladder-bottom 503 responses.
 	// Zero selects 5 seconds.
 	RetryAfter time.Duration
@@ -128,8 +122,9 @@ type MiddlewareOptions struct {
 	// than cooldown-driven. catalystd's proxy mode wires this.
 	OriginBreaker *resilience.Breaker
 	// ServerTiming mirrors each decorated response's cache decisions
-	// ("map-built", "etag-match") into a Server-Timing header so clients
-	// can annotate their traces with the origin middleware's view.
+	// ("map-built", then "etag-match" or "network") into a Server-Timing
+	// header so clients can annotate their traces with the origin
+	// middleware's view.
 	ServerTiming bool
 	// EarlyHints sends a 103 Early Hints informational response carrying
 	// preload links for the page's subresources as soon as the HTML has
@@ -144,15 +139,13 @@ type MiddlewareOptions struct {
 	// the exact entity being served is adopted instead of running the
 	// local probe fan-out. Nil disables the exchange.
 	Exchange MapExchange
-	// Delta enables delta-encoded HTML: recently served page bodies are
-	// retained keyed by their validator, and a request naming one in
-	// X-Delta-Base is answered with a CCD1 patch (internal/delta) against
-	// that base — marked X-Delta-From — whenever the patch is smaller
-	// than the full body. The Etag is always the current entity's.
+	// Delta enables delta-encoded HTML: recently served page bodies (up
+	// to 8 MiB) are retained keyed by their validator, and a request
+	// naming one in X-Delta-Base is answered with a CCD1 patch
+	// (internal/delta) against that base — marked X-Delta-From — whenever
+	// the patch is smaller than the full body. The Etag is always the
+	// current entity's.
 	Delta bool
-	// MaxDeltaBytes bounds the retained-base cache behind Delta. Zero
-	// selects 8 MiB.
-	MaxDeltaBytes int64
 }
 
 func (o MiddlewareOptions) breakerThreshold() int {
@@ -172,9 +165,14 @@ func (o MiddlewareOptions) probeConcurrency() int {
 	return 8
 }
 
+// staleFor resolves StaleFor: zero selects 5 minutes, negative keeps no
+// stale copies (0).
 func (o MiddlewareOptions) staleFor() time.Duration {
-	if o.StaleFor == 0 {
+	switch {
+	case o.StaleFor == 0:
 		return 5 * time.Minute
+	case o.StaleFor < 0:
+		return 0
 	}
 	return o.StaleFor
 }
@@ -216,9 +214,6 @@ func Middleware(next http.Handler, opts MiddlewareOptions) http.Handler {
 	if opts.MaxProbeEntries <= 0 {
 		opts.MaxProbeEntries = 4096
 	}
-	if opts.MaxRenderBytes == 0 {
-		opts.MaxRenderBytes = 16 << 20
-	}
 	if opts.Metrics == nil {
 		opts.Metrics = &MiddlewareMetrics{}
 	}
@@ -228,7 +223,6 @@ func Middleware(next http.Handler, opts MiddlewareOptions) http.Handler {
 		m.htmlNS = opts.Telemetry.Histogram("middleware.html_ns")
 	}
 	d := &m.def
-	d.staleTTL = opts.staleFor()
 	d.requestBudget = opts.RequestBudget
 	d.probes = cachestore.New[probe](cachestore.Options[probe]{
 		// A probe without a retained stylesheet body costs exactly
@@ -246,53 +240,19 @@ func Middleware(next http.Handler, opts MiddlewareOptions) http.Handler {
 		Telemetry: opts.Telemetry,
 		Name:      "middleware.probes",
 	})
-	if opts.MaxRenderBytes > 0 {
-		d.renders = cachestore.New[*renderEntry](cachestore.Options[*renderEntry]{
-			MaxBytes:  opts.MaxRenderBytes,
-			SizeOf:    renderEntrySize,
-			Policy:    opts.CachePolicy,
-			OnEvict:   func(string, *renderEntry) { opts.Metrics.RendersEvicted.Add(1) },
-			Telemetry: opts.Telemetry,
-			Name:      "middleware.renders",
-		})
-		// The hot index rides in front of the render cache (hotRender), so
-		// it exists exactly when the render cache does and shares its
-		// budget scale: pinned raw bodies are a strict subset of what the
-		// render cache is willing to spend on injected ones.
-		d.hot = cachestore.New[*hotPage](cachestore.Options[*hotPage]{
-			MaxBytes:  opts.MaxRenderBytes,
-			SizeOf:    hotPageSize,
-			Policy:    opts.CachePolicy,
-			Telemetry: opts.Telemetry,
-			Name:      "middleware.hot",
-		})
-	}
-	if opts.StaleFor >= 0 {
-		maxStale := opts.MaxStaleBytes
-		if maxStale == 0 {
-			maxStale = 8 << 20
-		}
-		d.stales = cachestore.New[*staleEntry](cachestore.Options[*staleEntry]{
-			MaxBytes:  maxStale,
-			SizeOf:    staleEntrySize,
-			Policy:    opts.CachePolicy,
-			Telemetry: opts.Telemetry,
-			Name:      "middleware.stales",
-		})
-	}
-	if opts.Delta {
-		maxDelta := opts.MaxDeltaBytes
-		if maxDelta == 0 {
-			maxDelta = 8 << 20
-		}
-		d.deltaBases = cachestore.New[[]byte](cachestore.Options[[]byte]{
-			MaxBytes:  maxDelta,
-			SizeOf:    func(key string, body []byte) int64 { return int64(len(key) + len(body)) },
-			Policy:    opts.CachePolicy,
-			Telemetry: opts.Telemetry,
-			Name:      "middleware.delta_bases",
-		})
-	}
+	d.pages = decorate.New(decorate.Options{
+		Name:            "middleware",
+		MaxRenderBytes:  opts.MaxRenderBytes,
+		HotIndex:        true,
+		StaleFor:        opts.staleFor(),
+		Delta:           opts.Delta,
+		Policy:          opts.CachePolicy,
+		Telemetry:       opts.Telemetry,
+		ServerTiming:    opts.ServerTiming,
+		RendersEvicted:  &opts.Metrics.RendersEvicted,
+		DeltasServed:    &opts.Metrics.DeltasServed,
+		DeltaBytesSaved: &opts.Metrics.DeltaBytesSaved,
+	})
 	if opts.MaxInflight > 0 {
 		d.gate = resilience.NewGate(resilience.GateOptions{
 			MaxInflight:  opts.MaxInflight,
@@ -334,38 +294,28 @@ type middleware struct {
 	tenants sync.Map // string → *tenantState
 }
 
-// tenantState is one tenant's slice of the middleware: its caches (probe
-// results, rendered pages, hot index, stale copies, delta bases — all
-// namespaces of the default stores, so they inherit configuration but own
-// their bytes and eviction order), its admission gate, its upstream
-// breaker, and its probe generation. Dimensioning the state this way is
-// what makes the degradation ladder per-tenant: one tenant's saturated or
-// flapping upstream trips its own gate and breaker while its neighbours
-// serve undisturbed.
+// tenantState is one tenant's slice of the middleware: its decoration
+// stores (rendered pages, hot index, stale copies, delta bases) and probe
+// cache — namespaces of the default stores, so they inherit configuration
+// but own their bytes and eviction order — its admission gate, its
+// upstream breaker, and its probe generation. Dimensioning the state this
+// way is what makes the degradation ladder per-tenant: one tenant's
+// saturated or flapping upstream trips its own gate and breaker while its
+// neighbours serve undisturbed.
 type tenantState struct {
 	name    string // "" for the default state
+	pages   *decorate.Stores
 	probes  *cachestore.Store[probe]
-	renders *cachestore.Store[*renderEntry] // nil when disabled
-	// hot maps page URL → most recent (raw body, render) pair: the warm
-	// fast lane's memcmp shortcut over renderKey's SHA-256 (see hotRender).
-	// nil exactly when renders is.
-	hot    *cachestore.Store[*hotPage]
-	stales *cachestore.Store[*staleEntry] // last-known-good serves; nil when disabled
-	// deltaBases retains recently served page bodies keyed by
-	// pageURL + "\x00" + validator, the diff bases for Options.Delta;
-	// nil when the feature is off.
-	deltaBases *cachestore.Store[[]byte]
-	gate       *resilience.Gate    // admission control; nil when disabled
-	breaker    *resilience.Breaker // inner-handler health; nil when disabled
-	// staleTTL and requestBudget are the resolved per-tenant knobs (the
-	// tenant's own values, or the middleware defaults when unset).
-	staleTTL      time.Duration
+	gate    *resilience.Gate    // admission control; nil when disabled
+	breaker *resilience.Breaker // inner-handler health; nil when disabled
+	// requestBudget is the resolved per-tenant budget (the tenant's own,
+	// or the middleware default when unset).
 	requestBudget time.Duration
 	// probeGen counts observable probe-cache changes: it bumps whenever a
 	// probe flight lands a (tag, ok) pair that differs from what the
 	// cache held before. While it stands still, every map assembled from
-	// the cache is byte-identical, so renderEntry.enc may be reused
-	// instead of re-serializing the map per request.
+	// the cache is byte-identical, so a render's cached encoding may be
+	// reused instead of re-serializing the map per request.
 	probeGen atomic.Uint64
 }
 
@@ -389,53 +339,11 @@ func (m *middleware) stateFor(r *http.Request) *tenantState {
 // loser's gate and breaker are discarded.
 func (m *middleware) buildTenantState(t *tenant.Tenant) *tenantState {
 	prefix := "tenant." + t.Name + "."
-	var policy *cachestore.Policy
-	if t.Policy.Eviction != nil || t.Policy.Admission != nil {
-		p := t.Policy
-		policy = &p
-	}
-	ts := &tenantState{name: t.Name}
+	ts := &tenantState{name: t.Name, pages: m.def.pages.Tenant(t)}
 	ts.probes = m.def.probes.NamespaceWith(t.Name, cachestore.NamespaceOptions{
 		TelemetryName: prefix + "probes",
-		Policy:        policy,
+		Policy:        t.PolicyOverride(),
 	})
-	if m.def.renders != nil {
-		ts.renders = m.def.renders.NamespaceWith(t.Name, cachestore.NamespaceOptions{
-			MaxBytes:      t.BudgetBytes,
-			TelemetryName: prefix + "renders",
-			Policy:        policy,
-		})
-		ts.hot = m.def.hot.NamespaceWith(t.Name, cachestore.NamespaceOptions{
-			MaxBytes:      t.BudgetBytes,
-			TelemetryName: prefix + "hot",
-			Policy:        policy,
-		})
-	}
-	// Stale copies and delta bases scale at half the tenant's budget: they
-	// hold one body per page (no per-render variants), so half the render
-	// budget covers the same page population.
-	halfBudget := t.BudgetBytes / 2
-	if t.BudgetBytes < 0 {
-		halfBudget = -1
-	}
-	ts.staleTTL = m.def.staleTTL
-	if t.StaleFor > 0 {
-		ts.staleTTL = t.StaleFor
-	}
-	if m.def.stales != nil && t.StaleFor >= 0 {
-		ts.stales = m.def.stales.NamespaceWith(t.Name, cachestore.NamespaceOptions{
-			MaxBytes:      halfBudget,
-			TelemetryName: prefix + "stales",
-			Policy:        policy,
-		})
-	}
-	if m.def.deltaBases != nil {
-		ts.deltaBases = m.def.deltaBases.NamespaceWith(t.Name, cachestore.NamespaceOptions{
-			MaxBytes:      halfBudget,
-			TelemetryName: prefix + "delta_bases",
-			Policy:        policy,
-		})
-	}
 	maxInflight := t.MaxInflight
 	if maxInflight == 0 {
 		maxInflight = m.opts.MaxInflight
@@ -480,18 +388,6 @@ type probe struct {
 	fails int
 }
 
-// workerScriptTag is the worker script's validator, hashed once at startup;
-// the wire forms next to it are precomputed for the same reason the render
-// entries precompute theirs — the worker script is requested by every
-// first-visit client, and re-rendering constants per request is pure waste.
-var (
-	workerScriptTag   = etag.ForBytes([]byte(core.ServiceWorkerScript))
-	workerScriptBytes = []byte(core.ServiceWorkerScript)
-	workerEtagHeader  = []string{workerScriptTag.String()}
-	workerCTypeHeader = []string{"text/javascript; charset=utf-8"}
-	workerNoCacheHdr  = []string{"no-cache"}
-)
-
 // serveInner runs the inner handler, converting a panic into a recovered
 // flag so one bad request handler can never take the whole server down.
 func (m *middleware) serveInner(w http.ResponseWriter, r *http.Request) (panicked bool) {
@@ -507,17 +403,7 @@ func (m *middleware) serveInner(w http.ResponseWriter, r *http.Request) (panicke
 
 func (m *middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path == WorkerPath && (r.Method == http.MethodGet || r.Method == http.MethodHead) {
-		h := w.Header()
-		h["Content-Type"] = workerCTypeHeader
-		h["Cache-Control"] = workerNoCacheHdr
-		h["Etag"] = workerEtagHeader
-		if !etag.NoneMatch(r.Header.Get("If-None-Match"), workerScriptTag) {
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		if r.Method != http.MethodHead {
-			_, _ = w.Write(workerScriptBytes)
-		}
+		decorate.ServeWorkerScript(w, r)
 		return
 	}
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
@@ -563,25 +449,16 @@ func (m *middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Single inner-handler execution through the sniffing writer: the
-	// conditional headers are stripped so the handler produces the full
-	// entity (the writer and the HTML path below re-apply them), and the
+	// handler is asked for the full entity (see innerRequest; the writer
+	// and the HTML path below re-apply conditionals and HEAD), and the
 	// writer streams everything that is not a 200 HTML page. A 5xx is
 	// held back when a stale substitute exists, so clients see the last
 	// good copy instead of the error. The writer is pooled; nothing it
 	// owns survives past the end of this function (see sniffPool).
 	sw := newSniffWriter(w, r)
 	defer sw.release()
-	if ts.stales != nil {
-		sw.staleOwner, sw.staleState, sw.stalePage = m, ts, pageURL
-	}
-	// Cloning the request exists only to strip conditionals; the common
-	// unconditional request is served as-is (handlers must not mutate
-	// their request, so sharing is safe).
-	inner := r
-	if r.Header["If-None-Match"] != nil || r.Header["If-Modified-Since"] != nil {
-		inner = cloneWithoutConditionals(r)
-	}
-	panicked := m.serveInner(sw, inner)
+	sw.stales, sw.stalePage = ts.pages, pageURL
+	panicked := m.serveInner(sw, innerRequest(r))
 	if ts.breaker != nil {
 		ts.breaker.Record(!panicked && sw.status < http.StatusInternalServerError)
 	}
@@ -643,169 +520,91 @@ func (m *middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	m.htmlNS.Observe(time.Since(htmlStart).Nanoseconds())
 }
 
-// serveHTML decorates and delivers a buffered 200 HTML entity: render (via
-// the warm fast lane), early hints, delta bases, map assembly or encoding
-// reuse, conditional answer, body. On a fully-warm unchanged page — hot
-// index hit, cached encoding still valid, no conditionals, no delta —
-// this function acquires no mutex and allocates nothing: every header
-// value it writes was precomputed when the render or encoding was cached.
+// serveHTML decorates and delivers a buffered 200 HTML entity through the
+// shared pipeline: render (via the hot index), early hints, the map, then
+// decorate.Respond. On a fully-warm unchanged page — hot index hit, cached
+// encoding still valid, no conditionals, no delta — this function acquires
+// no mutex and allocates nothing: every header value it writes was
+// precomputed when the render or encoding was cached.
 func (m *middleware) serveHTML(ts *tenantState, w http.ResponseWriter, r *http.Request, sw *sniffWriter, pageURL string) {
 	ctx, span := telemetry.BeginSpan(r.Context(), "middleware")
 	defer span.End()
-	ent := m.hotRender(ts, pageURL, sw.body())
+	ent := ts.pages.HotRender(pageURL, sw.body())
 
 	// Early hints go out the moment the reference list exists: the probe
 	// fan-out below is the serve's slow stage, and the 103 lets the client
 	// start subresource fetches while it runs.
-	if m.opts.EarlyHints && m.emitEarlyHints(w, ent.refs) {
+	h := w.Header()
+	if m.opts.EarlyHints && decorate.AddPreloadLinks(h, ent.Refs) {
+		w.WriteHeader(http.StatusEarlyHints)
 		m.opts.Metrics.HintsSent.Add(1)
 		telemetry.Event(ctx, "hints", pageURL)
 	}
 
-	// Delta bases: every decorated serve retains its body under its
-	// validator (the lock-free Get doubles as the LRU promotion that
-	// keeps a hot base resident); a request naming a retained base gets
-	// a patch below.
-	var deltaBase []byte
-	deltaFrom := ""
-	if ts.deltaBases != nil {
-		if _, ok := ts.deltaBases.Get(ent.deltaKey); !ok {
-			ts.deltaBases.Put(ent.deltaKey, ent.injectedBytes)
-		}
-		if baseTag := r.Header.Get(delta.RequestHeader); baseTag != "" && baseTag != ent.tagStr {
-			if base, okBase := ts.deltaBases.Get(pageURL + "\x00" + baseTag); okBase {
-				deltaBase, deltaFrom = base, baseTag
-			}
-		}
-	}
-
-	h := w.Header()
 	for k, vs := range sw.header {
 		if k == "Content-Length" || k == "Etag" {
 			continue
 		}
 		h[k] = vs
 	}
-
-	// Load the generation before resolving: probes that change state
-	// during the resolve bump it, which both blocks reuse of a cached
-	// encoding below and prevents this request from caching one.
-	gen := ts.probeGen.Load()
-	now := time.Now()
-	var encoded string
-	if e := ent.enc.Load(); e != nil && e.gen == gen && now.UnixNano() < e.expires {
-		// Every probe the encoding depends on is unexpired and none has
-		// changed since it was built, so resolving again would only
-		// re-read the probe cache and re-serialize the identical map.
-		encoded = e.enc
-		h[HeaderName] = e.hdr
-		m.opts.Metrics.EncodeReuses.Add(1)
-	} else if peerEnc, peerExp, ok := m.exchangeLookup(ts, pageURL, ent, now); ok {
-		// A cluster peer already rendered this exact entity and gossiped
-		// its encoded map: adopt it instead of re-probing. The peer's
-		// expiry bounds the trust window; the local generation stamp means
-		// any local probe outcome still invalidates it immediately.
-		encoded = peerEnc
-		h.Set(HeaderName, encoded)
-		ent.enc.Store(&encodedMap{gen: gen, expires: peerExp, enc: encoded, hdr: []string{encoded}})
-		m.opts.Metrics.HotMapHits.Add(1)
-		telemetry.Event(ctx, "hotmap-adopt", pageURL)
-	} else {
-		res := &probeResolver{m: m, ts: ts, req: r, ctx: ctx}
-		etags := core.ResolveRefsContext(ctx, ent.refs, res, core.BuildOptions{
-			MaxEntries:  m.opts.MaxMapEntries,
-			Concurrency: m.opts.probeConcurrency(),
-		})
-		encoded = m.capMapBytes(etags).Encode()
-		h.Set(HeaderName, encoded)
-		// Never cache an encoding assembled under a cancelled request: a
-		// client that disconnected mid-render stopped the probe fan-out,
-		// so the map may be a prefix of the real one.
-		if ctx.Err() == nil && ts.probeGen.Load() == gen {
-			exp := res.minExpires.Load()
-			if exp == 0 {
-				// No probes ran (a page with no same-origin refs);
-				// the empty map is still only trusted for one TTL.
-				exp = now.Add(m.opts.ProbeTTL).UnixNano()
-			}
-			ent.enc.Store(&encodedMap{gen: gen, expires: exp, enc: encoded, hdr: []string{encoded}})
-			if ex := m.opts.Exchange; ex != nil {
-				// Gossip the fresh encoding so peers serving this page
-				// skip their own probe fan-out entirely.
-				ex.Publish(ts.name, pageURL, ent.tagStr, encoded, exp)
-			}
-		}
-	}
-
-	h["Etag"] = ent.etagHeader
-	m.recordStale(ts, pageURL, ent, encoded, sw.header, now)
+	encoded := m.setMap(ctx, ts, r, h, pageURL, ent)
 	telemetry.Event(ctx, "map-built", pageURL)
 	if m.opts.ServerTiming {
 		telemetry.AppendServerTiming(h, "map-built")
 	}
-
-	if !etag.NoneMatch(r.Header.Get("If-None-Match"), ent.tag) {
-		telemetry.Event(ctx, "etag-match", pageURL)
-		if m.opts.ServerTiming {
-			telemetry.AppendServerTiming(h, "etag-match")
-		}
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	body := ent.injectedBytes
-	clen := ent.clenHeader
-	if deltaBase != nil {
-		// A validator match above wins over a patch (the 304 transfers
-		// nothing at all); here the entity changed, so diff lazily and
-		// serve the patch only when it actually saves bytes.
-		if patch := delta.Diff(deltaBase, body); len(patch) < len(body) {
-			m.opts.Metrics.DeltasServed.Add(1)
-			m.opts.Metrics.DeltaBytesSaved.Add(int64(len(body) - len(patch)))
-			h.Set(delta.FromHeader, deltaFrom)
-			telemetry.Event(ctx, "delta", pageURL)
-			if m.opts.ServerTiming {
-				telemetry.AppendServerTiming(h, "delta")
-			}
-			body = patch
-			clen = nil
-		}
-	}
-	if clen != nil {
-		h["Content-Length"] = clen
-	} else {
-		h.Set("Content-Length", strconv.Itoa(len(body)))
-	}
-	w.WriteHeader(http.StatusOK)
-	if r.Method != http.MethodHead {
-		_, _ = w.Write(body)
-	}
+	ts.pages.Respond(ctx, w, r, pageURL, ent, encoded, time.Time{})
 }
 
-// maxPreloadHints caps the Link headers one 103 carries; past a few dozen
-// the hints themselves delay the HTML they are racing.
-const maxPreloadHints = 32
-
-// emitEarlyHints writes a 103 Early Hints response advertising refs as
-// preload links. Reports whether hints were sent.
-func (m *middleware) emitEarlyHints(w http.ResponseWriter, refs []core.Ref) bool {
-	if len(refs) == 0 {
-		return false
+// setMap puts ent's X-Etag-Config in h and returns it: the encoding cached
+// on ent while no probe it depends on has changed or expired, else a
+// cluster peer's encoding of the same entity, else a fresh probe fan-out.
+func (m *middleware) setMap(ctx context.Context, ts *tenantState, r *http.Request, h http.Header, pageURL string, ent *decorate.Entry) string {
+	// Load the generation before resolving: probes that change state
+	// during the resolve bump it, which both blocks reuse of a cached
+	// encoding and prevents this request from caching one.
+	gen := ts.probeGen.Load()
+	now := time.Now()
+	if hdr, ok := ent.Encoded(gen, now); ok {
+		h[HeaderName] = hdr
+		m.opts.Metrics.EncodeReuses.Add(1)
+		return hdr[0]
 	}
-	h := w.Header()
-	n := 0
-	for _, ref := range refs {
-		if n == maxPreloadHints {
-			break
-		}
-		as := "image"
-		if ref.CSS {
-			as = "style"
-		}
-		h.Add("Link", "<"+ref.Key+">; rel=preload; as="+as)
-		n++
+	if enc, exp, ok := m.exchangeLookup(ts, pageURL, ent, now); ok {
+		// A cluster peer already rendered this exact entity and gossiped
+		// its encoded map: adopt it instead of re-probing. The peer's
+		// expiry bounds the trust window; the local generation stamp means
+		// any local probe outcome still invalidates it immediately.
+		h[HeaderName] = ent.SetEncoded(gen, exp, enc)
+		m.opts.Metrics.HotMapHits.Add(1)
+		telemetry.Event(ctx, "hotmap-adopt", pageURL)
+		return enc
 	}
-	w.WriteHeader(http.StatusEarlyHints)
-	return true
+	res := &probeResolver{m: m, ts: ts, req: r, ctx: ctx}
+	etags := core.ResolveRefsContext(ctx, ent.Refs, res, core.BuildOptions{Concurrency: m.opts.probeConcurrency()})
+	if dropped := decorate.CapMapBytes(etags, m.opts.MaxMapBytes); dropped > 0 {
+		m.opts.Metrics.MapEntriesDropped.Add(int64(dropped))
+	}
+	enc := etags.Encode()
+	// Never cache an encoding assembled under a cancelled request: a
+	// client that disconnected mid-render stopped the probe fan-out, so
+	// the map may be a prefix of the real one.
+	if ctx.Err() != nil || ts.probeGen.Load() != gen {
+		h.Set(HeaderName, enc)
+		return enc
+	}
+	exp := res.minExpires.Load()
+	if exp == 0 {
+		// No probes ran (a page with no same-origin refs); the empty map
+		// is still only trusted for one TTL.
+		exp = now.Add(m.opts.ProbeTTL).UnixNano()
+	}
+	h[HeaderName] = ent.SetEncoded(gen, exp, enc)
+	if ex := m.opts.Exchange; ex != nil {
+		// Gossip the fresh encoding so peers serving this page skip their
+		// own probe fan-out entirely.
+		ex.Publish(ts.name, pageURL, ent.TagStr, enc, exp)
+	}
+	return enc
 }
 
 // requestPageURL is the origin-relative URL of the page being served, query
@@ -816,78 +615,6 @@ func requestPageURL(r *http.Request) string {
 		return r.URL.Path + "?" + r.URL.RawQuery
 	}
 	return r.URL.Path
-}
-
-// capMapBytes drops entries (highest-sorting paths first, the reverse of
-// the canonical encode order) until the encoded map fits MaxMapBytes. The
-// encoded size is tracked incrementally while dropping — each entry's wire
-// cost is measured once — so trimming is O(n) in the map size rather than
-// re-encoding the whole map per dropped entry.
-func (m *middleware) capMapBytes(etags ETagMap) ETagMap {
-	max := m.opts.MaxMapBytes
-	if max <= 0 || len(etags) == 0 {
-		return etags
-	}
-	paths := make([]string, 0, len(etags))
-	for p := range etags {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	// Mirror ETagMap.Encode: '{' + comma-joined `"path":"tag"` + '}'.
-	sizes := make([]int, len(paths))
-	total := 2
-	for i, p := range paths {
-		sizes[i] = jsonStringLen(p) + 1 + jsonStringLen(etags[p].String())
-		total += sizes[i]
-	}
-	if len(paths) > 1 {
-		total += len(paths) - 1 // commas
-	}
-	for i := len(paths) - 1; i >= 0 && total > max; i-- {
-		total -= sizes[i]
-		if i > 0 {
-			total-- // the comma that preceded this entry
-		}
-		delete(etags, paths[i])
-		m.opts.Metrics.MapEntriesDropped.Add(1)
-	}
-	return etags
-}
-
-// jsonStringLen is the encoded length of s as a JSON string, quotes and
-// escapes included — exactly len(json.Marshal(s)) without the allocation.
-// It mirrors encoding/json's default (HTML-escaping) encoder: two-byte
-// escapes for the common control characters and for quote/backslash,
-// six-byte \u00xx escapes for the rest of the control range and for <, >, &,
-// six-byte escapes for U+2028/U+2029, and a \ufffd escape per invalid byte.
-// TestJSONStringLenMatchesMarshal cross-checks the mirror property.
-func jsonStringLen(s string) int {
-	n := 2 // surrounding quotes
-	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			switch {
-			case b == '"' || b == '\\' || b == '\n' || b == '\r' || b == '\t' || b == '\b' || b == '\f':
-				n += 2
-			case b < 0x20 || b == '<' || b == '>' || b == '&':
-				n += 6
-			default:
-				n++
-			}
-			i++
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			n += 6 // each invalid byte becomes the six-byte escape \ufffd
-		case r == 0x2028 || r == 0x2029:
-			n += 6 // \u2028 and \u2029 are escaped for JS embedding
-		default:
-			n += size
-		}
-		i += size
-	}
-	return n
 }
 
 type probeResolver struct {
@@ -952,13 +679,15 @@ func (m *middleware) probe(ts *tenantState, path string, via *http.Request, ctx 
 			return prev, nil
 		}
 
-		req := httptest.NewRequest(http.MethodGet, path, nil)
-		req.Host = via.Host
-		// Probe requests carry the serving request's tenant so a
-		// tenant-routing inner handler (catalystd's multi-origin proxy)
-		// probes the right upstream, not the default one.
-		if t, ok := tenant.FromContext(via.Context()); ok {
-			req = req.WithContext(tenant.NewContext(req.Context(), t))
+		req, ok := probeRequest(path, via)
+		if !ok {
+			// Page content chose this path; one that is not a request
+			// target stays out of the map instead of reaching the handler.
+			m.opts.Metrics.ProbesUnparsable.Add(1)
+			telemetry.Event(ctx, "probe-unparsable", path)
+			pr := probe{expires: time.Now().Add(m.opts.ProbeTTL)}
+			ts.probes.Put(path, pr)
+			return pr, nil
 		}
 		rec := httptest.NewRecorder()
 		panicked := m.serveInner(rec, req)
@@ -1005,11 +734,49 @@ func (m *middleware) probe(ts *tenantState, path string, via *http.Request, ctx 
 	return pr
 }
 
-// cloneWithoutConditionals strips validators so the inner handler returns
-// the full entity (the middleware handles conditionals itself: against the
-// rewritten body for HTML, via the sniffing writer for everything else).
-func cloneWithoutConditionals(r *http.Request) *http.Request {
+// probeRequest builds the GET that probes path against the inner handler,
+// or reports that path is not a valid request target. It carries the
+// serving request's Host and tenant, so a tenant-routing inner handler
+// (catalystd's multi-origin proxy) probes the right upstream, but not its
+// context: a probe flight is shared by every request waiting on it, so no
+// one request's cancellation may cut it short.
+func probeRequest(path string, via *http.Request) (*http.Request, bool) {
+	u, err := url.ParseRequestURI(path)
+	if err != nil {
+		return nil, false
+	}
+	ctx := context.Background()
+	if t, ok := tenant.FromContext(via.Context()); ok {
+		ctx = tenant.NewContext(ctx, t)
+	}
+	req := &http.Request{
+		Method:     http.MethodGet,
+		URL:        u,
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     make(http.Header),
+		Body:       http.NoBody,
+		Host:       via.Host,
+		RemoteAddr: "192.0.2.1:1234", // httptest's documentation address
+		RequestURI: path,
+	}
+	return req.WithContext(ctx), true
+}
+
+// innerRequest is the request the inner handler serves for r: a GET for
+// the full entity, since a page is decorated from its body and the
+// middleware answers conditionals itself (against the rewritten body for
+// HTML, via the sniffing writer for everything else). The common
+// unconditional GET is passed as-is — handlers must not mutate their
+// request, so sharing is safe; anything else is cloned, its conditionals
+// stripped and a HEAD turned into a GET.
+func innerRequest(r *http.Request) *http.Request {
+	if r.Method == http.MethodGet && r.Header["If-None-Match"] == nil && r.Header["If-Modified-Since"] == nil {
+		return r
+	}
 	c := r.Clone(r.Context())
+	c.Method = http.MethodGet
 	c.Header.Del("If-None-Match")
 	c.Header.Del("If-Modified-Since")
 	return c

@@ -1,6 +1,7 @@
 package catalyst
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -317,5 +318,48 @@ func TestMiddlewareErrorPagePassesThrough(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "boom") {
 		t.Fatal("error body lost")
+	}
+}
+
+// TestHostileRefDoesNotCrashProcess: page markup chooses the paths the
+// middleware probes, so a reference that is not valid request-line text —
+// "/ok.png?a=1 2" survives extraction with its space — must be probed
+// through a parsed URL rather than crash the probe fan-out (a panic on a
+// fan-out goroutine would take down every tenant in the process). A path
+// that is no request target at all stays out of the map and is counted.
+func TestHostileRefDoesNotCrashProcess(t *testing.T) {
+	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/" {
+			w.Header().Set("Content-Type", "text/html")
+			_, _ = io.WriteString(w, `<html><body><img src="/a.png"><img src="/ok.png?a=1 2">`+
+				`<img src="/b.png"><img src="/c.png?x=%zz"></body></html>`)
+			return
+		}
+		w.Header().Set("Content-Type", "image/png")
+		_, _ = io.WriteString(w, r.URL.String())
+	})
+	metrics := &MiddlewareMetrics{}
+	h := Middleware(inner, MiddlewareOptions{ProbeTTL: time.Hour, Metrics: metrics})
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d", rec.Code)
+	}
+	m, err := DecodeMap(rec.Header().Get(HeaderName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"/a.png", "/ok.png?a=1 2", "/b.png", "/c.png?x=%zz"} {
+		if _, ok := m[p]; !ok {
+			t.Errorf("map lacks %q: %v", p, m)
+		}
+	}
+
+	mid := h.(*middleware)
+	if pr := mid.probe(&mid.def, "/bad\x7fpath", httptest.NewRequest(http.MethodGet, "/", nil), context.Background()); pr.ok {
+		t.Fatal("an unparsable path probed ok")
+	}
+	if got := metrics.ProbesUnparsable.Load(); got != 1 {
+		t.Fatalf("ProbesUnparsable = %d, want 1", got)
 	}
 }

@@ -1,7 +1,6 @@
 package catalyst
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -23,20 +21,20 @@ func TestRenderCacheReusesUnchangedPage(t *testing.T) {
 
 	first := httptest.NewRecorder()
 	h.ServeHTTP(first, httptest.NewRequest("GET", "/", nil))
-	if c := m.def.renders.Counters(); c.Loads != 1 {
+	if c := m.def.pages.Renders().Counters(); c.Loads != 1 {
 		t.Fatalf("first render ran %d extractions, want 1", c.Loads)
 	}
 
 	second := httptest.NewRecorder()
 	h.ServeHTTP(second, httptest.NewRequest("GET", "/", nil))
-	c := m.def.renders.Counters()
+	c := m.def.pages.Renders().Counters()
 	if c.Loads != 1 {
 		t.Fatalf("unchanged page re-extracted: %d loads", c.Loads)
 	}
 	// The warm fast lane answers unchanged pages from the per-URL hot
 	// index (one memcmp, no hashing); the keyed render cache is only
 	// consulted when the hot pin misses.
-	if m.def.hot.Counters().Hits == 0 {
+	if m.def.pages.Hot().Counters().Hits == 0 {
 		t.Fatal("second render did not hit the hot index")
 	}
 	if first.Body.String() != second.Body.String() {
@@ -107,7 +105,7 @@ func TestRenderCacheKeysOnContent(t *testing.T) {
 func TestRenderCacheDisabled(t *testing.T) {
 	h := Middleware(innerSite(), MiddlewareOptions{ProbeTTL: time.Hour, MaxRenderBytes: -1})
 	m := h.(*middleware)
-	if m.def.renders != nil {
+	if m.def.pages.Renders() != nil {
 		t.Fatal("render cache allocated despite MaxRenderBytes < 0")
 	}
 	cached := Middleware(innerSite(), MiddlewareOptions{ProbeTTL: time.Hour})
@@ -215,49 +213,14 @@ func TestRenderFanOutRaceStaysConsistent(t *testing.T) {
 	}
 	wg.Wait()
 
-	if err := m.def.renders.Audit(); err != nil {
+	if err := m.def.pages.Renders().Audit(); err != nil {
 		t.Errorf("render cache accounting drifted: %v", err)
 	}
 	if err := m.def.probes.Audit(); err != nil {
 		t.Errorf("probe cache accounting drifted: %v", err)
 	}
-	rc := m.def.renders.Counters()
+	rc := m.def.pages.Renders().Counters()
 	if rc.Loads == 0 || rc.Puts < rc.Loads {
 		t.Errorf("render counters implausible: %+v", rc)
-	}
-}
-
-// TestJSONStringLenMatchesMarshal pins jsonStringLen to its spec: exactly
-// len(json.Marshal(s)) for every string, including the escaping edge cases
-// the default HTML-escaping encoder has.
-func TestJSONStringLenMatchesMarshal(t *testing.T) {
-	check := func(s string) bool {
-		b, err := json.Marshal(s)
-		if err != nil {
-			return false
-		}
-		return jsonStringLen(s) == len(b)
-	}
-	for _, s := range []string{
-		"",
-		"/plain/path.css",
-		`quote " backslash \ done`,
-		"tabs\tnewlines\nreturns\r",
-		"low controls \x00\x01\x1f",
-		"shorthand escapes \b and \f",
-		"html <b>&amp;</b>",
-		"line seps \u2028 and \u2029",
-		"snowman ☃ and emoji \U0001F600",
-		"invalid \xff\xfe bytes",
-		"truncated rune \xe2\x82",
-		string([]byte{0xed, 0xa0, 0x80}), // surrogate half, invalid UTF-8
-	} {
-		if !check(s) {
-			b, _ := json.Marshal(s)
-			t.Errorf("jsonStringLen(%q) = %d, marshal is %d bytes", s, jsonStringLen(s), len(b))
-		}
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -259,52 +258,6 @@ func TestProbeSingleflight(t *testing.T) {
 	for i, c := range codes {
 		if c != 200 {
 			t.Fatalf("render %d: status = %d", i, c)
-		}
-	}
-}
-
-// TestCapMapBytesMatchesNaive cross-checks the incremental encoded-size
-// trimming against the obvious re-encode-per-drop reference over a large
-// map with escape-heavy and multi-byte paths.
-func TestCapMapBytesMatchesNaive(t *testing.T) {
-	build := func() ETagMap {
-		m := ETagMap{}
-		for i := 0; i < 400; i++ {
-			m[fmt.Sprintf("/assets/deep/dir-%03d/file-%03d.js", i%37, i)] = etag.ForBytes([]byte{byte(i), byte(i >> 8)})
-		}
-		m[`/odd/"quoted".css`] = etag.ForBytes([]byte("q"))
-		m["/odd/ünïcode-päth.png"] = etag.ForBytes([]byte("u"))
-		m["/odd/back\\slash.js"] = etag.ForBytes([]byte("b"))
-		return m
-	}
-
-	naive := func(m ETagMap, max int) ETagMap {
-		for len(m.Encode()) > max {
-			paths := make([]string, 0, len(m))
-			for p := range m {
-				paths = append(paths, p)
-			}
-			sort.Strings(paths)
-			delete(m, paths[len(paths)-1])
-		}
-		return m
-	}
-
-	full := len(build().Encode())
-	for _, max := range []int{full, full - 1, full / 2, 512, 64, 10} {
-		mid := Middleware(innerSite(), MiddlewareOptions{MaxMapBytes: max}).(*middleware)
-		got := mid.capMapBytes(build())
-		want := naive(build(), max)
-		if len(got) != len(want) {
-			t.Fatalf("max=%d: incremental kept %d entries, naive kept %d", max, len(got), len(want))
-		}
-		for p, tag := range want {
-			if got[p] != tag {
-				t.Fatalf("max=%d: maps diverge at %q", max, p)
-			}
-		}
-		if enc := got.Encode(); len(enc) > max && len(got) > 0 {
-			t.Fatalf("max=%d: trimmed map still encodes to %d bytes", max, len(enc))
 		}
 	}
 }

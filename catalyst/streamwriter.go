@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"sync"
 
+	"cachecatalyst/internal/decorate"
 	"cachecatalyst/internal/etag"
 	"cachecatalyst/internal/headers"
 )
@@ -31,17 +32,16 @@ type sniffWriter struct {
 	dst http.ResponseWriter
 	req *http.Request // original request, with its conditional headers
 
-	// staleOwner, when set, is consulted before a >= 500 status is
-	// committed to the client: if it holds an unexpired stale copy of
-	// stalePage, the writer swallows the error response (headers and
+	// stales is consulted before a >= 500 status is committed to the
+	// client: if it holds an unexpired stale copy of stalePage, the
+	// writer swallows the error response (headers and
 	// body) and marks held instead, so the middleware can substitute the
 	// stale copy — the degradation ladder's "serve stale instead of
 	// error-proxying" rung. Plain fields rather than a closure: this sits
 	// on the hot path of every instrumented request, and a closure would
 	// cost an allocation per serve.
-	staleOwner *middleware
-	staleState *tenantState
-	stalePage  string
+	stales    *decorate.Stores
+	stalePage string
 
 	header    http.Header
 	status    int
@@ -77,7 +77,7 @@ func newSniffWriter(dst http.ResponseWriter, req *http.Request) *sniffWriter {
 // response is fully written and nothing references the buffer.
 func (w *sniffWriter) release() {
 	w.dst, w.req = nil, nil
-	w.staleOwner, w.staleState, w.stalePage = nil, nil, ""
+	w.stales, w.stalePage = nil, ""
 	clear(w.header)
 	w.status = 0
 	w.committed, w.buffering, w.discard = false, false, false
@@ -108,8 +108,8 @@ func (w *sniffWriter) WriteHeader(code int) {
 	w.committed = true
 	w.status = code
 
-	if code >= http.StatusInternalServerError && w.staleOwner != nil {
-		if _, ok := w.staleOwner.staleFor(w.staleState, w.stalePage); ok {
+	if code >= http.StatusInternalServerError && w.stales != nil {
+		if _, ok := w.stales.Stale(w.stalePage); ok {
 			// A stale substitute exists: swallow the error entirely.
 			// Nothing reaches the client; the middleware serves the stale
 			// copy after the inner handler returns.
@@ -153,6 +153,9 @@ func (w *sniffWriter) WriteHeader(code int) {
 	copyHeader(w.dst.Header(), w.header)
 	w.dst.WriteHeader(code)
 	w.sentToDst = true
+	// The inner handler answered a HEAD as the GET it was given (see
+	// innerRequest); the client gets the head only.
+	w.discard = w.req.Method == http.MethodHead
 }
 
 // notModified evaluates the original request's conditionals against the

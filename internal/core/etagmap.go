@@ -126,6 +126,27 @@ func writeJSONString(b *strings.Builder, s string) {
 	b.WriteByte('"')
 }
 
+// JSONStringLen is the length of s as Encode writes it — quotes and
+// escapes included — without building it, for callers sizing a map's
+// encoding entry by entry.
+func JSONStringLen(s string) int {
+	n := 2
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= utf8.RuneSelf:
+			enc, _ := json.Marshal(s)
+			return len(enc)
+		case jsonSafe[c]:
+			n++
+		case c == '"' || c == '\\' || c == '\n' || c == '\r' || c == '\t':
+			n += 2
+		default:
+			n += 6 // \u00XX
+		}
+	}
+	return n
+}
+
 // WireSize returns the byte cost of carrying the encoded map in a response
 // header, including the header name, separator and CRLF. The evaluation
 // charges this against the base-HTML transfer: proactive tokens are not

@@ -320,3 +320,35 @@ func TestBuildMapHonorsBaseHref(t *testing.T) {
 		}
 	}
 }
+
+// TestJSONStringLenMatchesEncode pins JSONStringLen to its spec: exactly
+// the bytes Encode writes for the string, including the escaping edge
+// cases and the non-ASCII path deferred to encoding/json.
+func TestJSONStringLenMatchesEncode(t *testing.T) {
+	written := func(s string) int {
+		var b strings.Builder
+		writeJSONString(&b, s)
+		return b.Len()
+	}
+	for _, s := range []string{
+		"",
+		"/plain/path.css",
+		`quote " backslash \ done`,
+		"tabs\tnewlines\nreturns\r",
+		"low controls \x00\x01\x1f and DEL \x7f",
+		"shorthand escapes \b and \f",
+		"html <b>&amp;</b>",
+		"line seps \u2028 and \u2029",
+		"snowman ☃ and emoji \U0001F600",
+		"invalid \xff\xfe bytes",
+		"truncated rune \xe2\x82",
+		string([]byte{0xed, 0xa0, 0x80}), // surrogate half, invalid UTF-8
+	} {
+		if got, want := JSONStringLen(s), written(s); got != want {
+			t.Errorf("JSONStringLen(%q) = %d, Encode writes %d bytes", s, got, want)
+		}
+	}
+	if err := quick.Check(func(s string) bool { return JSONStringLen(s) == written(s) }, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}

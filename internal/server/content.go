@@ -1,8 +1,10 @@
 // Package server implements the paper's server side: a static web server
 // (standing in for the authors' modified Caddy) that serves site content
 // with configurable cache-header policies, answers conditional requests
-// with 304s, and — in catalyst mode — attaches the X-Etag-Config map to
-// every HTML response and injects the Service-Worker registration snippet.
+// with 304s, and — in catalyst mode — decorates every HTML response
+// through internal/decorate, the pipeline catalyst.Middleware also runs:
+// the X-Etag-Config map, resolved against its own Content, and the
+// injected Service-Worker registration snippet.
 //
 // The same handler serves both worlds: real sockets via net/http (examples,
 // integration tests, cmd/catalystd) and the discrete-event simulator via

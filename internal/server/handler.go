@@ -4,18 +4,16 @@ import (
 	"context"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"cachecatalyst/internal/cachestore"
 	"cachecatalyst/internal/core"
-	"cachecatalyst/internal/delta"
+	"cachecatalyst/internal/decorate"
 	"cachecatalyst/internal/etag"
 	"cachecatalyst/internal/headers"
 	"cachecatalyst/internal/resilience"
 	"cachecatalyst/internal/telemetry"
-	"cachecatalyst/internal/tenant"
 	"cachecatalyst/internal/vclock"
 )
 
@@ -41,12 +39,12 @@ type Options struct {
 	// (path, content ETag) so an unchanged page skips re-parsing and
 	// re-hashing on every hit. Zero selects 16 MiB; negative disables it.
 	MaxRenderBytes int64
-	// RenderCachePolicy selects the rendered-page cache's eviction and
-	// admission policy; the zero value is exact global LRU. Rendered
-	// pages span from landing stubs to huge generated documents, so a
-	// size-aware policy can keep many small hot pages instead of one
-	// giant one. (CachePolicy, by contrast, is this package's
-	// Cache-Control configuration — unrelated.)
+	// RenderCachePolicy selects the eviction and admission policy of the
+	// rendered-page cache (and of the delta bases, with Delta); the zero
+	// value is exact global LRU. Rendered pages span from landing stubs to
+	// huge generated documents, so a size-aware policy can keep many small
+	// hot pages instead of one giant one. (CachePolicy, by contrast, is
+	// this package's Cache-Control configuration — unrelated.)
 	RenderCachePolicy cachestore.Policy
 	// Telemetry, when set, indexes the server's counters, the
 	// rendered-page cache's counters, and a serve-latency histogram in
@@ -82,14 +80,11 @@ type Options struct {
 	EarlyHints bool
 	// Delta enables delta-encoded HTML (the catalyst-delta scheme): when
 	// a request names a previous page version in X-Delta-Base and that
-	// version's body is still in the delta base cache, the server
+	// version's body is still retained (up to 8 MiB of bases), the server
 	// responds with a CCD1 patch (internal/delta) instead of the full
 	// body, marked by X-Delta-From. Requires Catalyst (the scheme patches
 	// the SW-cached copy).
 	Delta bool
-	// MaxDeltaBytes bounds the delta base cache (previous page bodies
-	// kept for diffing). Zero selects 8 MiB.
-	MaxDeltaBytes int64
 }
 
 // Metrics counts server activity. All fields are atomic telemetry
@@ -119,66 +114,16 @@ type Metrics struct {
 
 // Server is the web server under study. It implements http.Handler.
 type Server struct {
-	content    Content
-	opts       Options
-	resolver   contentResolver // stateless Content→core.Resolver adapter, built once
-	recorder   *Recorder
-	access     *accessLog
-	renders    *cachestore.Store[*pageRender] // nil when disabled
-	deltaBases *cachestore.Store[[]byte]      // previous page bodies; nil unless Options.Delta
-	// tenantNS memoizes per-tenant namespaced views of renders and
-	// deltaBases, keyed by tenant name. Requests whose context carries a
-	// tenant (internal/tenant) render into their tenant's namespace, so
-	// one tenant's page churn cannot evict another's renders; tenantless
-	// requests use the parent stores directly, unchanged.
-	tenantNS   sync.Map             // string → *tenantCaches
-	mapGate    *resilience.Gate               // map-resolution admission; nil when disabled
-	serveNS    *telemetry.Histogram           // nil without telemetry
-	dateHdr    atomic.Pointer[dateHeader]     // per-second Date value cache
-	Metrics    Metrics
-}
-
-// tenantCaches is one tenant's namespaced slice of the server's derived
-// caches.
-type tenantCaches struct {
-	renders    *cachestore.Store[*pageRender]
-	deltaBases *cachestore.Store[[]byte]
-}
-
-// cachesFor resolves the render and delta-base stores for a request: the
-// tenant's namespaces when the context carries one, the process-global
-// stores otherwise. The tenantless path is one context lookup — no lock,
-// no allocation — which is what keeps the warm-serve alloc budget at zero.
-func (s *Server) cachesFor(ctx context.Context) (*cachestore.Store[*pageRender], *cachestore.Store[[]byte]) {
-	t, ok := tenant.FromContext(ctx)
-	if !ok {
-		return s.renders, s.deltaBases
-	}
-	if v, ok := s.tenantNS.Load(t.Name); ok {
-		c := v.(*tenantCaches)
-		return c.renders, c.deltaBases
-	}
-	prefix := "tenant." + t.Name + "."
-	c := &tenantCaches{}
-	if s.renders != nil {
-		c.renders = s.renders.NamespaceWith(t.Name, cachestore.NamespaceOptions{
-			MaxBytes:      t.BudgetBytes,
-			TelemetryName: prefix + "server_renders",
-		})
-	}
-	if s.deltaBases != nil {
-		half := t.BudgetBytes / 2
-		if t.BudgetBytes < 0 {
-			half = -1
-		}
-		c.deltaBases = s.deltaBases.NamespaceWith(t.Name, cachestore.NamespaceOptions{
-			MaxBytes:      half,
-			TelemetryName: prefix + "server_delta_bases",
-		})
-	}
-	v, _ := s.tenantNS.LoadOrStore(t.Name, c)
-	c = v.(*tenantCaches)
-	return c.renders, c.deltaBases
+	content  Content
+	opts     Options
+	resolver contentResolver // stateless Content→core.Resolver adapter, built once
+	recorder *Recorder
+	access   *accessLog
+	pages    *decorate.Stores           // the decoration pipeline's stores; nil unless Catalyst
+	mapGate  *resilience.Gate           // map-resolution admission; nil when disabled
+	serveNS  *telemetry.Histogram       // nil without telemetry
+	dateHdr  atomic.Pointer[dateHeader] // per-second Date value cache
+	Metrics  Metrics
 }
 
 // dateHeader caches one second's worth of Date header value: HTTP dates
@@ -209,9 +154,6 @@ func New(content Content, opts Options) *Server {
 	if opts.Clock == nil {
 		opts.Clock = vclock.System{}
 	}
-	if opts.MaxRenderBytes == 0 {
-		opts.MaxRenderBytes = 16 << 20
-	}
 	s := &Server{content: content, opts: opts, resolver: contentResolver{content: content}}
 	if opts.Record {
 		s.recorder = NewRecorder()
@@ -219,31 +161,16 @@ func New(content Content, opts Options) *Server {
 	if opts.AccessLogSize > 0 {
 		s.access = newAccessLog(opts.AccessLogSize)
 	}
-	if opts.Catalyst && opts.MaxRenderBytes > 0 {
-		s.renders = cachestore.New[*pageRender](cachestore.Options[*pageRender]{
-			MaxBytes: opts.MaxRenderBytes,
-			SizeOf: func(key string, p *pageRender) int64 {
-				n := int64(len(key) + len(p.body) + 128)
-				for _, r := range p.refs {
-					n += int64(len(r.Key)) + 32
-				}
-				return n
-			},
-			Policy:    opts.RenderCachePolicy,
-			Telemetry: opts.Telemetry,
-			Name:      "server.renders",
-		})
-	}
-	if opts.Catalyst && opts.Delta {
-		maxDelta := opts.MaxDeltaBytes
-		if maxDelta == 0 {
-			maxDelta = 8 << 20
-		}
-		s.deltaBases = cachestore.New[[]byte](cachestore.Options[[]byte]{
-			MaxBytes:  maxDelta,
-			SizeOf:    func(key string, b []byte) int64 { return int64(len(key) + len(b)) },
-			Telemetry: opts.Telemetry,
-			Name:      "server.delta_bases",
+	if opts.Catalyst {
+		s.pages = decorate.New(decorate.Options{
+			Name:            "server",
+			MaxRenderBytes:  opts.MaxRenderBytes,
+			Delta:           opts.Delta,
+			Policy:          opts.RenderCachePolicy,
+			Telemetry:       opts.Telemetry,
+			ServerTiming:    opts.ServerTiming,
+			DeltasServed:    &s.Metrics.DeltasServed,
+			DeltaBytesSaved: &s.Metrics.DeltaBytesSaved,
 		})
 	}
 	if opts.MaxInflight > 0 {
@@ -329,9 +256,10 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 		p = p + "?" + q
 	}
 
-	if s.opts.Catalyst && p == core.ServiceWorkerPath {
+	if s.pages != nil && p == core.ServiceWorkerPath {
 		s.decide(ctx, h, "sw-script", p)
-		status, n := s.serveWorkerScript(w, r)
+		h["Date"] = s.dateHeaderValue()
+		status, n := decorate.ServeWorkerScript(w, r)
 		s.logAccess(r, status, n, 0)
 		return
 	}
@@ -358,153 +286,86 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 	if rh.lastModified != nil {
 		h["Last-Modified"] = rh.lastModified
 	}
-
-	body := res.Body
-	tag := res.ETag
-	etagHdr := rh.etag
-	clenHdr := rh.clen
 	sessionID := ""
-	mapEntries := 0
 	if s.recorder != nil {
 		sessionID = s.recorder.SessionID(w, r)
 	}
 
-	// deltaBase holds the previous page body a patch may be computed
-	// against; set only when the client named a base we still have.
-	var deltaBase []byte
-	deltaFrom := ""
-
 	isHTML := IsHTML(res.ContentType)
-	var pr *pageRender
-	renders, deltaBases := s.renders, s.deltaBases
-	if s.opts.Catalyst && isHTML {
-		renders, deltaBases = s.cachesFor(ctx)
-		pr = s.renderPage(renders, p, res)
+	if s.pages != nil && isHTML {
+		status, n, mapEntries := s.serveDecorated(ctx, w, r, p, res, sessionID)
+		s.count(status, n)
+		s.logAccess(r, status, n, mapEntries)
+		return
 	}
-
-	if s.opts.EarlyHints && isHTML {
-		refs := pr.pageRefs(p, res)
-		if s.emitPreloadHints(h, refs) {
-			s.Metrics.HintsSent.Add(1)
-			s.decide(ctx, h, "hints", p)
-		}
+	if s.opts.EarlyHints && isHTML && decorate.AddPreloadLinks(h, core.ExtractPageRefs(p, string(res.Body))) {
+		s.Metrics.HintsSent.Add(1)
+		s.decide(ctx, h, "hints", p)
 	}
-
-	if pr != nil {
-		body = pr.body
-		tag = pr.tag
-		etagHdr = pr.etagHdr
-		clenHdr = pr.clenHdr
-		if deltaBases != nil {
-			deltaBases.Put(pr.deltaKey, body)
-			if baseTag := r.Header.Get(delta.RequestHeader); baseTag != "" && baseTag != pr.tagStr {
-				if base, okB := deltaBases.Get(p + "\x00" + baseTag); okB {
-					deltaBase, deltaFrom = base, baseTag
-				}
-			}
-		}
-		// The resolve phase is the only stage with fan-out amplification,
-		// so it alone is gated: a refused request ships its HTML without
-		// the map rather than queueing behind a saturated resolver.
-		if err := s.admitMap(ctx); err != nil {
-			s.Metrics.MapSheds.Add(1)
-			s.decide(ctx, h, "map-shed", p)
-		} else {
-			m := s.resolveMap(ctx, p, pr.refs, sessionID)
-			s.releaseMap()
-			mapEntries = len(m)
-			enc := m.Encode()
-			h.Set(core.HeaderName, enc)
-			s.Metrics.MapsBuilt.Add(1)
-			s.Metrics.MapBytes.Add(int64(core.WireSizeOf(enc)))
-			s.decide(ctx, h, "map-built", p)
-		}
-	} else if s.recorder != nil && !isHTML {
+	if s.recorder != nil && !isHTML {
 		// Recording mode: remember which subresources this session's
 		// page loads actually requested.
 		s.recorder.RecordFetch(sessionID, r.Referer(), p)
 	}
 
-	h["Etag"] = etagHdr
-
-	if s.notModified(r, tag, res.LastModified) {
-		s.Metrics.NotModified.Add(1)
+	h["Etag"] = rh.etag
+	if decorate.NotModified(r, res.ETag, res.LastModified) {
 		s.decide(ctx, h, "etag-match", p)
 		w.WriteHeader(http.StatusNotModified)
-		s.logAccess(r, http.StatusNotModified, 0, mapEntries)
+		s.count(http.StatusNotModified, 0)
+		s.logAccess(r, http.StatusNotModified, 0, 0)
 		return
 	}
-
-	if deltaBase != nil {
-		// The diff is computed only on the 200 path: a 304 (the client's
-		// validator still matches) never needs one.
-		if patch := delta.Diff(deltaBase, body); len(patch) < len(body) {
-			s.Metrics.DeltasServed.Add(1)
-			s.Metrics.DeltaBytesSaved.Add(int64(len(body) - len(patch)))
-			h.Set(delta.FromHeader, deltaFrom)
-			s.decide(ctx, h, "delta", p)
-			body = patch
-			clenHdr = nil
-		}
-	}
-
 	s.decide(ctx, h, "network", p)
-	if clenHdr != nil {
-		h["Content-Length"] = clenHdr
-	} else {
-		h.Set("Content-Length", strconv.Itoa(len(body)))
-	}
+	h["Content-Length"] = rh.clen
 	w.WriteHeader(http.StatusOK)
-	if r.Method == http.MethodHead {
-		s.logAccess(r, http.StatusOK, 0, mapEntries)
-		return
-	}
-	n, _ := w.Write(body)
-	s.Metrics.BodyBytes.Add(int64(n))
-	s.logAccess(r, http.StatusOK, n, mapEntries)
-}
-
-// maxPreloadHints caps Link header emission per response: real 103
-// deployments hint the critical few, and an unbounded list would bloat
-// the interim response past its usefulness.
-const maxPreloadHints = 32
-
-// emitPreloadHints writes "Link: <url>; rel=preload; as=..." headers for
-// the page's statically extractable references. Reports whether any hint
-// was emitted.
-func (s *Server) emitPreloadHints(h http.Header, refs []core.Ref) bool {
 	n := 0
-	for _, ref := range refs {
-		if n >= maxPreloadHints {
-			break
-		}
-		as := "image"
-		if ref.CSS {
-			as = "style"
-		}
-		h.Add("Link", "<"+ref.Key+">; rel=preload; as="+as)
-		n++
+	if r.Method != http.MethodHead {
+		n, _ = w.Write(res.Body)
 	}
-	return n > 0
+	s.count(http.StatusOK, n)
+	s.logAccess(r, http.StatusOK, n, 0)
 }
 
-// notModified evaluates the request's conditional headers per RFC 9110
-// §13.2.2 precedence: If-None-Match wins when present; If-Modified-Since is
-// only consulted otherwise.
-func (s *Server) notModified(r *http.Request, tag etag.Tag, lastModified time.Time) bool {
-	if inm := r.Header.Get("If-None-Match"); inm != "" {
-		return !etag.NoneMatch(inm, tag)
+// serveDecorated serves an HTML resource through the decoration pipeline.
+// The stored body is the render input and its stored validator the render
+// key, so an unchanged page renders once; the map resolves against
+// Content exactly on every serve.
+func (s *Server) serveDecorated(ctx context.Context, w http.ResponseWriter, r *http.Request, p string, res *Resource, sessionID string) (status, n, mapEntries int) {
+	h := w.Header()
+	ent := s.pages.Render(p, res.Body, res.headerValues().tagStr)
+	if s.opts.EarlyHints && decorate.AddPreloadLinks(h, ent.Refs) {
+		s.Metrics.HintsSent.Add(1)
+		s.decide(ctx, h, "hints", p)
 	}
-	ims := r.Header.Get("If-Modified-Since")
-	if ims == "" || lastModified.IsZero() {
-		return false
+	// The resolve phase is the only stage with fan-out amplification, so
+	// it alone is gated: a refused request ships its HTML without the map
+	// rather than queueing behind a saturated resolver.
+	enc := ""
+	if err := s.admitMap(ctx); err != nil {
+		s.Metrics.MapSheds.Add(1)
+		s.decide(ctx, h, "map-shed", p)
+	} else {
+		m := s.resolveMap(ctx, p, ent.Refs, sessionID)
+		s.releaseMap()
+		mapEntries = len(m)
+		enc = m.Encode()
+		h.Set(core.HeaderName, enc)
+		s.Metrics.MapsBuilt.Add(1)
+		s.Metrics.MapBytes.Add(int64(core.WireSizeOf(enc)))
+		s.decide(ctx, h, "map-built", p)
 	}
-	t, ok := headers.ParseHTTPDate(ims)
-	if !ok {
-		return false
+	status, n = s.pages.Respond(ctx, w, r, p, ent, enc, res.LastModified)
+	return status, n, mapEntries
+}
+
+// count adds one answered request to the status and body counters.
+func (s *Server) count(status, n int) {
+	if status == http.StatusNotModified {
+		s.Metrics.NotModified.Add(1)
+	} else if n > 0 {
+		s.Metrics.BodyBytes.Add(int64(n))
 	}
-	// HTTP dates have second granularity; truncate before comparing.
-	return !lastModified.Truncate(time.Second).After(t)
 }
 
 // resourceHeaders is the wire-format rendering of a Resource's header
@@ -543,81 +404,6 @@ func (r *Resource) headerValues() *resourceHeaders {
 	return h
 }
 
-// pageRender memoizes what serving an HTML page computes from its stored
-// content alone: the extracted subresource references, the body with the
-// registration snippet injected, that body's validator, and the header
-// values / cache keys derived from them. All fields are immutable after
-// construction and shared across requests.
-type pageRender struct {
-	refs []core.Ref
-	body []byte
-	tag  etag.Tag
-
-	// Derived once at build time so the per-request serve path writes
-	// precomputed values instead of re-rendering them.
-	tagStr   string
-	etagHdr  []string
-	clenHdr  []string
-	deltaKey string // path + "\x00" + tagStr: the delta-base cache key
-}
-
-// pageRefs returns the page's subresource references: the memoized
-// extraction when a render exists (catalyst mode), a fresh extraction from
-// the stored body otherwise (plain early-hints mode has no render cache).
-func (pr *pageRender) pageRefs(p string, res *Resource) []core.Ref {
-	if pr != nil {
-		return pr.refs
-	}
-	return core.ExtractPageRefs(p, string(res.Body))
-}
-
-// renderKeyPool recycles the scratch buffer renderPage builds its lookup
-// key in, so a warm render hit allocates nothing at all.
-var renderKeyPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// renderPage returns the extract-phase result for the page, memoized per
-// (path, content validator). The stored ETag commits to the stored body —
-// that is what makes it a validator — so a changed page keys to a new entry
-// and stale renders are never served; they simply age out of the LRU.
-func (s *Server) renderPage(renders *cachestore.Store[*pageRender], p string, res *Resource) *pageRender {
-	build := func() (*pageRender, error) {
-		body := string(res.Body)
-		injected := []byte(core.InjectRegistration(body))
-		pr := &pageRender{
-			refs: core.ExtractPageRefs(p, body),
-			body: injected,
-			// The served entity differs from the stored one, so its
-			// validator must too; derive it from the bytes actually sent.
-			tag: etag.ForBytes(injected),
-		}
-		pr.tagStr = pr.tag.String()
-		pr.etagHdr = []string{pr.tagStr}
-		pr.clenHdr = []string{strconv.Itoa(len(injected))}
-		pr.deltaKey = p + "\x00" + pr.tagStr
-		return pr, nil
-	}
-	if renders == nil {
-		pr, _ := build()
-		return pr
-	}
-	// Warm path: probe the cache with a pooled key buffer (the store's
-	// byte-key lookup avoids materializing the key string), falling back
-	// to the allocating GetOrLoad only on a miss.
-	rh := res.headerValues()
-	bufp := renderKeyPool.Get().(*[]byte)
-	key := append((*bufp)[:0], p...)
-	key = append(key, 0)
-	key = append(key, rh.tagStr...)
-	pr, ok := renders.GetBytes(key)
-	*bufp = key
-	renderKeyPool.Put(bufp)
-	if ok {
-		return pr
-	}
-	pr, _ = renders.GetOrLoad(p+"\x00"+rh.tagStr, build)
-	return pr
-}
-
 // admitMap acquires a map-resolution slot, or reports that the map should
 // be shed; releaseMap frees it. With no gate configured every request is
 // admitted for free.
@@ -652,38 +438,6 @@ func (s *Server) resolveMap(ctx context.Context, pageURL string, refs []core.Ref
 		}
 	}
 	return m
-}
-
-// The worker script never changes within one build, so everything serving
-// it derives from — bytes, validator, header values — is computed once at
-// startup.
-var (
-	workerScriptTag   = etag.ForBytes([]byte(core.ServiceWorkerScript))
-	workerScriptBytes = []byte(core.ServiceWorkerScript)
-	workerEtagHdr     = []string{workerScriptTag.String()}
-	workerCTypeHdr    = []string{"text/javascript; charset=utf-8"}
-	workerCacheHdr    = []string{"no-cache"}
-)
-
-// serveWorkerScript serves the JavaScript Service Worker. It is marked
-// no-cache so browsers revalidate it, matching how deployments keep SW
-// logic updatable — and those revalidations are answered 304 when the
-// script is unchanged, which it always is within one build.
-func (s *Server) serveWorkerScript(w http.ResponseWriter, r *http.Request) (status, n int) {
-	h := w.Header()
-	h["Content-Type"] = workerCTypeHdr
-	h["Cache-Control"] = workerCacheHdr
-	h["Date"] = s.dateHeaderValue()
-	h["Etag"] = workerEtagHdr
-	if !etag.NoneMatch(r.Header.Get("If-None-Match"), workerScriptTag) {
-		w.WriteHeader(http.StatusNotModified)
-		return http.StatusNotModified, 0
-	}
-	if r.Method == http.MethodHead {
-		return http.StatusOK, 0
-	}
-	_, _ = w.Write(workerScriptBytes)
-	return http.StatusOK, len(workerScriptBytes)
 }
 
 // contentResolver adapts Content to core.Resolver.

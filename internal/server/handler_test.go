@@ -399,11 +399,11 @@ func TestServerRenderCacheReusesUnchangedPage(t *testing.T) {
 	if first.Code != 200 {
 		t.Fatalf("status = %d", first.Code)
 	}
-	if c := s.renders.Counters(); c.Loads != 1 {
+	if c := s.pages.Renders().Counters(); c.Loads != 1 {
 		t.Fatalf("first serve ran %d extractions, want 1", c.Loads)
 	}
 	second := get(t, s, "/index.html", nil)
-	if c := s.renders.Counters(); c.Loads != 1 || c.Hits == 0 {
+	if c := s.pages.Renders().Counters(); c.Loads != 1 || c.Hits == 0 {
 		t.Fatalf("unchanged page not reused: %+v", c)
 	}
 	if first.Body.String() != second.Body.String() ||
@@ -421,14 +421,14 @@ func TestServerRenderCacheReusesUnchangedPage(t *testing.T) {
 	if !strings.Contains(third.Body.String(), "/d.jpg") || strings.Contains(third.Body.String(), "/a.css") {
 		t.Fatalf("stale body served: %q", third.Body.String())
 	}
-	if c := s.renders.Counters(); c.Loads != 2 {
+	if c := s.pages.Renders().Counters(); c.Loads != 2 {
 		t.Fatalf("changed page did not re-extract: %+v", c)
 	}
 }
 
 func TestServerRenderCacheDisabled(t *testing.T) {
 	s := New(buildSite(), Options{Clock: vclock.NewVirtual(vclock.Epoch), Catalyst: true, MaxRenderBytes: -1})
-	if s.renders != nil {
+	if s.pages.Renders() != nil {
 		t.Fatal("render cache allocated despite MaxRenderBytes < 0")
 	}
 	rec := get(t, s, "/index.html", nil)

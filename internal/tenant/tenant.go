@@ -80,6 +80,17 @@ type Tenant struct {
 	Breaker *resilience.Breaker
 }
 
+// PolicyOverride returns Policy as a cache-namespace override, or nil when
+// it is the zero value and the tenant's namespaces inherit the process
+// policy.
+func (t *Tenant) PolicyOverride() *cachestore.Policy {
+	if t.Policy.Eviction == nil && t.Policy.Admission == nil {
+		return nil
+	}
+	p := t.Policy
+	return &p
+}
+
 // Validate reports the first problem with the descriptor.
 func (t *Tenant) Validate() error {
 	if t.Name == "" {
