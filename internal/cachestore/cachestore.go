@@ -96,9 +96,10 @@ type Counters struct {
 	// Puts counts insertions and replacements; Evictions counts entries
 	// removed to respect the byte budget.
 	Puts, Evictions int64
-	// Loads counts loader executions by Do/GetOrLoad; LoadsShared counts
-	// callers that piggybacked on another goroutine's in-flight load
-	// instead of running their own.
+	// Loads counts loader executions by Do/GetOrLoad (a GetOrLoad flight
+	// that finds the value already stored counts a hit instead);
+	// LoadsShared counts callers that piggybacked on another goroutine's
+	// in-flight load instead of running their own.
 	Loads, LoadsShared int64
 	// AdmissionRejects counts inserts the admission policy refused;
 	// VictimScans counts candidate entries examined while selecting

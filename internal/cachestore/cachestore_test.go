@@ -262,6 +262,46 @@ func TestGetOrLoad(t *testing.T) {
 	}
 }
 
+// TestGetOrLoadCountsLoaderRuns races GetOrLoad callers against deletes of
+// their keys, so flights regularly find the value already stored by the
+// flight before them. Loads must equal the loader's own call count, and
+// each lookup must count exactly one of a hit, a load or a shared load.
+func TestGetOrLoadCountsLoaderRuns(t *testing.T) {
+	s := New[int](Options[int]{Shards: 2})
+	var calls atomic.Int64
+	load := func() (int, error) {
+		calls.Add(1)
+		return 1, nil
+	}
+	const goroutines, rounds = 8, 2000
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				key := fmt.Sprint(i % 4)
+				if i%3 == g%3 {
+					s.Delete(key)
+				}
+				if _, err := s.GetOrLoad(key, load); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	c := s.Counters()
+	if c.Loads != calls.Load() {
+		t.Errorf("Loads = %d, loader ran %d times", c.Loads, calls.Load())
+	}
+	if got := c.Hits + c.Loads + c.LoadsShared; got != goroutines*rounds {
+		t.Errorf("hits+loads+loads_shared = %d over %d lookups (%+v)", got, goroutines*rounds, c)
+	}
+}
+
 // TestConcurrentStress hammers one bounded store from many goroutines and
 // then audits every invariant the store promises: byte accounting matches
 // the surviving entries, the budget holds, and the counters add up.

@@ -25,6 +25,15 @@ type flightGroup[V any] struct {
 // callers compose it with Get/Put (or use GetOrLoad) when the result should
 // be cached.
 func (s *Store[V]) Do(key string, fn func() (V, error)) (v V, shared bool, err error) {
+	return s.do(key, func() (V, error) {
+		s.loads.Add(1)
+		return fn()
+	})
+}
+
+// do is Do without the load count, for callers whose flight may end
+// without running a loader.
+func (s *Store[V]) do(key string, fn func() (V, error)) (v V, shared bool, err error) {
 	s.flight.mu.Lock()
 	if c, ok := s.flight.calls[key]; ok {
 		s.flight.mu.Unlock()
@@ -53,25 +62,27 @@ func (s *Store[V]) Do(key string, fn func() (V, error)) (v V, shared bool, err e
 		s.flight.mu.Unlock()
 		c.wg.Done()
 	}()
-	s.loads.Add(1)
 	c.val, c.err = fn()
 	return c.val, false, c.err
 }
 
 // GetOrLoad returns the cached value for key, or runs load — exactly once
 // across concurrent callers of the same key — and stores the result on
-// success. Callers that need finer control (TTLs, negative caching) use
+// success. Each call counts exactly one of a hit, a load or a shared
+// load. Callers that need finer control (TTLs, negative caching) use
 // Get/Peek/Put and Do directly.
 func (s *Store[V]) GetOrLoad(key string, load func() (V, error)) (V, error) {
 	if v, ok := s.Get(key); ok {
 		return v, nil
 	}
-	v, _, err := s.Do(key, func() (V, error) {
+	v, _, err := s.do(key, func() (V, error) {
 		// Re-check inside the flight: a previous flight may have stored
-		// the value between our miss and our turn.
+		// the value between our miss and our turn. That counts as a hit,
+		// not a load.
 		if v, ok := s.Get(key); ok {
 			return v, nil
 		}
+		s.loads.Add(1)
 		v, err := load()
 		if err == nil {
 			s.Put(key, v)
