@@ -30,12 +30,12 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDeltaRoundTrip -fuzztime=10s ./internal/delta/
 
 # Scheme-matrix smoke: the conformance suite (golden table, shape claims,
-# determinism, cancellation under -race) plus one live cell via the example.
+# determinism, cancellation under -race) plus the live grid via cmd/schemes.
 # See EXPERIMENTS.md, "Scheme matrix".
 schemes:
 	$(GO) test -race -count=1 -run 'SchemeMatrix|Scheme|Delta|EarlyHints|Negative' \
 		./internal/harness/ ./internal/browser/ ./internal/delta/ ./catalyst/
-	$(GO) run ./examples/pushcompare
+	$(GO) run ./cmd/schemes
 
 # Cache-policy smoke: replay the committed harness-exported trace and a
 # synthetic Zipf/lognormal trace through every policy, checking ratios stay

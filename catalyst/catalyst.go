@@ -76,12 +76,14 @@ type ServerOptions struct {
 	// Policy assigns Cache-Control per path; nil emits no Cache-Control
 	// (CacheCatalyst needs none — that is the point).
 	Policy func(path string) CachePolicy
-	// AccessLogSize keeps a ring of recent requests readable via the
-	// server's Snapshot method; 0 disables access logging.
+	// AccessLogSize keeps a ring of recent requests, readable via the
+	// server's RecentRequests method and served by WithMetrics under
+	// "recent"; 0 disables access logging.
 	AccessLogSize int
-	// Telemetry indexes the server's counters, caches and latency
-	// histogram in the given registry; WithMetrics then serves the full
-	// snapshot. Nil disables registry wiring (counters still work).
+	// Telemetry is the registry the server's counters, caches and
+	// latency histogram live in; WithMetrics serves its snapshot. Nil
+	// selects a private registry, readable via the server's Telemetry
+	// method.
 	Telemetry *telemetry.Registry
 	// ServerTiming mirrors each request's cache decisions (etag-match,
 	// map-built, network, …) back to the client in a Server-Timing

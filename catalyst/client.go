@@ -51,9 +51,10 @@ type ClientOptions struct {
 	// mixed-size response population. The per-origin map store always
 	// stays LRU — maps are uniform-cost and recency-driven.
 	CachePolicy cachestore.Policy
-	// Telemetry, when set, indexes the client's counters, its two cache
-	// stores, and a per-Get latency histogram in the given registry under
-	// "client.*". Snapshot() and the registry read the same storage.
+	// Telemetry is the registry the client's counters, its two cache
+	// stores' counters and a per-Get latency histogram live in, under
+	// "client.*". Nil selects a private registry, readable through
+	// Client.Telemetry.
 	Telemetry *telemetry.Registry
 }
 
@@ -91,11 +92,15 @@ type Client struct {
 	maps  *cachestore.Store[ETagMap]         // per origin ("scheme://host")
 	cache *cachestore.Store[*cachedResponse] // per absolute resource
 
-	// Stats counters (read with Snapshot) — telemetry instruments, so a
-	// registry passed in ClientOptions.Telemetry indexes this storage.
-	localHits, networkFetches, revalidations  telemetry.Counter
-	retries, timeouts, staleServes, netErrors telemetry.Counter
-	getNS                                     *telemetry.Histogram // nil without telemetry
+	// The client's counters, held by the registry.
+	localHits      *telemetry.Counter // zero-round-trip serves, proven current by the map
+	networkFetches *telemetry.Counter
+	revalidations  *telemetry.Counter
+	retries        *telemetry.Counter // re-attempts after transient failures
+	timeouts       *telemetry.Counter // Gets that exhausted their time budget
+	staleServes    *telemetry.Counter // Source "stale" answers after a network failure
+	netErrors      *telemetry.Counter // Gets whose final attempt failed, before any stale fallback
+	getNS          *telemetry.Histogram
 }
 
 type cachedResponse struct {
@@ -138,26 +143,6 @@ type ClientResponse struct {
 	Source string
 }
 
-// ClientStats is a snapshot of client activity.
-type ClientStats struct {
-	LocalHits      int64 `json:"localHits"`
-	NetworkFetches int64 `json:"networkFetches"`
-	Revalidations  int64 `json:"revalidations"`
-	// Retries counts re-attempts after transient failures.
-	Retries int64 `json:"retries"`
-	// Timeouts counts Gets that exhausted their time budget.
-	Timeouts int64 `json:"timeouts"`
-	// StaleServes counts responses served from cache under Source
-	// "stale" because the network failed.
-	StaleServes int64 `json:"staleServes"`
-	// NetErrors counts Gets whose final attempt still failed (before
-	// any stale fallback).
-	NetErrors int64 `json:"netErrors"`
-	// CacheEvictions counts cached responses evicted to respect
-	// ClientOptions.MaxCacheBytes.
-	CacheEvictions int64 `json:"cacheEvictions"`
-}
-
 // NewClient returns an empty-cache client over hc with zero-value options
 // (no timeout, no retries).
 func NewClient(hc *http.Client) *Client {
@@ -167,51 +152,38 @@ func NewClient(hc *http.Client) *Client {
 // NewClientWithOptions returns an empty-cache client over hc with the
 // given resilience options.
 func NewClientWithOptions(hc *http.Client, opts ClientOptions) *Client {
-	c := &Client{
+	if opts.Telemetry == nil {
+		opts.Telemetry = telemetry.NewRegistry()
+	}
+	reg := opts.Telemetry
+	return &Client{
 		HTTP: hc,
 		opts: opts,
 		maps: cachestore.New[ETagMap](cachestore.Options[ETagMap]{
 			Shards:    4,
-			Telemetry: opts.Telemetry,
+			Telemetry: reg,
 			Name:      "client.maps",
 		}),
 		cache: cachestore.New[*cachedResponse](cachestore.Options[*cachedResponse]{
 			MaxBytes:  opts.MaxCacheBytes,
 			SizeOf:    func(_ string, r *cachedResponse) int64 { return r.size() },
 			Policy:    opts.CachePolicy,
-			Telemetry: opts.Telemetry,
+			Telemetry: reg,
 			Name:      "client.cache",
 		}),
+		localHits:      reg.Counter("client.local_hits"),
+		networkFetches: reg.Counter("client.network_fetches"),
+		revalidations:  reg.Counter("client.revalidations"),
+		retries:        reg.Counter("client.retries"),
+		timeouts:       reg.Counter("client.timeouts"),
+		staleServes:    reg.Counter("client.stale_serves"),
+		netErrors:      reg.Counter("client.net_errors"),
+		getNS:          reg.Histogram("client.get_ns"),
 	}
-	if reg := opts.Telemetry; reg != nil {
-		reg.RegisterCounter("client.local_hits", &c.localHits)
-		reg.RegisterCounter("client.network_fetches", &c.networkFetches)
-		reg.RegisterCounter("client.revalidations", &c.revalidations)
-		reg.RegisterCounter("client.retries", &c.retries)
-		reg.RegisterCounter("client.timeouts", &c.timeouts)
-		reg.RegisterCounter("client.stale_serves", &c.staleServes)
-		reg.RegisterCounter("client.net_errors", &c.netErrors)
-		c.getNS = reg.Histogram("client.get_ns")
-	}
-	return c
 }
 
-// Telemetry returns the registry the client was wired into, or nil.
+// Telemetry returns the registry holding the client's instruments.
 func (c *Client) Telemetry() *telemetry.Registry { return c.opts.Telemetry }
-
-// Snapshot returns current counters.
-func (c *Client) Snapshot() ClientStats {
-	return ClientStats{
-		LocalHits:      c.localHits.Load(),
-		NetworkFetches: c.networkFetches.Load(),
-		Revalidations:  c.revalidations.Load(),
-		Retries:        c.retries.Load(),
-		Timeouts:       c.timeouts.Load(),
-		StaleServes:    c.staleServes.Load(),
-		NetErrors:      c.netErrors.Load(),
-		CacheEvictions: c.cache.Counters().Evictions,
-	}
-}
 
 func (c *Client) httpClient() *http.Client {
 	if c.HTTP != nil {
@@ -235,10 +207,7 @@ func (c *Client) Get(rawURL string) (*ClientResponse, error) {
 // "etag-match" for a map-proven local hit, "revalidate", "network",
 // "stale-serve" — plus a "client.get" span.
 func (c *Client) GetContext(ctx context.Context, rawURL string) (*ClientResponse, error) {
-	if c.getNS != nil {
-		start := time.Now()
-		defer func() { c.getNS.Observe(time.Since(start).Nanoseconds()) }()
-	}
+	defer c.getNS.ObserveSince(time.Now())
 	ctx, endSpan := telemetry.StartSpan(ctx, "client.get")
 	defer endSpan()
 

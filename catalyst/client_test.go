@@ -47,8 +47,8 @@ func TestClientFirstVisitFetchesAndCaches(t *testing.T) {
 	if _, err := c.Get(base + "/logo.png"); err != nil {
 		t.Fatal(err)
 	}
-	st := c.Snapshot()
-	if st.NetworkFetches != 3 || st.LocalHits != 0 {
+	st := c.Telemetry().Snapshot().Counters
+	if st["client.network_fetches"] != 3 || st["client.local_hits"] != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -68,7 +68,7 @@ func TestClientRevisitServesFromCache(t *testing.T) {
 	mustGet("/index.html")
 	mustGet("/s.css")
 	mustGet("/logo.png")
-	before := srv.Metrics.Requests.Load()
+	before := srv.Telemetry().Counter("server.requests").Load()
 
 	// Revisit: the page revalidates (304 carries a fresh map)...
 	page := mustGet("/index.html")
@@ -84,10 +84,10 @@ func TestClientRevisitServesFromCache(t *testing.T) {
 	if string(css.Body) != "body{}" || string(logo.Body) != "PNG-V1" {
 		t.Fatal("cached bodies wrong")
 	}
-	if got := srv.Metrics.Requests.Load() - before; got != 1 {
+	if got := srv.Telemetry().Counter("server.requests").Load() - before; got != 1 {
 		t.Fatalf("server saw %d requests on revisit, want 1", got)
 	}
-	if st := c.Snapshot(); st.LocalHits != 2 || st.Revalidations != 1 {
+	if st := c.Telemetry().Snapshot().Counters; st["client.local_hits"] != 2 || st["client.revalidations"] != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

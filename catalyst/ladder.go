@@ -38,7 +38,7 @@ func (m *middleware) serveStale(ts *tenantState, w http.ResponseWriter, r *http.
 	if !ok {
 		return false
 	}
-	m.opts.Metrics.LadderStale.Add(1)
+	m.ladderStale.Add(1)
 	telemetry.Event(r.Context(), "stale-serve", reason)
 	h := w.Header()
 	if e.CType != "" {
@@ -69,7 +69,7 @@ func (m *middleware) serveStale(ts *tenantState, w http.ResponseWriter, r *http.
 // — conditionals intact, no sniffing, no probing, no instrumentation —
 // the ladder's middle rung.
 func (m *middleware) servePassthrough(w http.ResponseWriter, r *http.Request, reason string) {
-	m.opts.Metrics.LadderPassthrough.Add(1)
+	m.ladderPassthrough.Add(1)
 	telemetry.Event(r.Context(), "passthrough", reason)
 	if m.opts.ServerTiming {
 		telemetry.AppendServerTiming(w.Header(), "passthrough")
@@ -100,7 +100,7 @@ func (m *middleware) servePlain(w http.ResponseWriter, r *http.Request, sw *snif
 
 // serveReject answers 503 + Retry-After, the ladder's bottom rung.
 func (m *middleware) serveReject(w http.ResponseWriter, r *http.Request, reason string) {
-	m.opts.Metrics.LadderRejected.Add(1)
+	m.ladderRejected.Add(1)
 	telemetry.Event(r.Context(), "shed", reason)
 	h := w.Header()
 	h.Set("Retry-After", strconv.FormatInt(retryAfterSeconds(m.opts.retryAfter()), 10))

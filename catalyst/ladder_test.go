@@ -93,8 +93,8 @@ func prime(t *testing.T, h http.Handler) *httptest.ResponseRecorder {
 func TestLadderRungs(t *testing.T) {
 	t.Run("stale on origin error", func(t *testing.T) {
 		site := newFlakySite()
-		metrics := &MiddlewareMetrics{}
-		h := Middleware(site, MiddlewareOptions{Metrics: metrics})
+		reg := telemetry.NewRegistry()
+		h := Middleware(site, MiddlewareOptions{Telemetry: reg})
 		fresh := prime(t, h)
 
 		site.mode.Store("err")
@@ -114,8 +114,8 @@ func TestLadderRungs(t *testing.T) {
 		if rec.Body.String() != fresh.Body.String() {
 			t.Fatal("stale body differs from the last good serve")
 		}
-		if metrics.LadderStale.Load() != 1 {
-			t.Fatalf("LadderStale = %d", metrics.LadderStale.Load())
+		if reg.Counter("middleware.ladder_stale").Load() != 1 {
+			t.Fatalf("LadderStale = %d", reg.Counter("middleware.ladder_stale").Load())
 		}
 
 		// A conditional against the stale validator still short-circuits.
@@ -123,15 +123,15 @@ func TestLadderRungs(t *testing.T) {
 		if rec304.Code != http.StatusNotModified {
 			t.Fatalf("conditional against stale: %d", rec304.Code)
 		}
-		if metrics.LadderStale.Load() != 2 {
-			t.Fatalf("LadderStale after 304 = %d", metrics.LadderStale.Load())
+		if reg.Counter("middleware.ladder_stale").Load() != 2 {
+			t.Fatalf("LadderStale after 304 = %d", reg.Counter("middleware.ladder_stale").Load())
 		}
 	})
 
 	t.Run("stale on panic", func(t *testing.T) {
 		site := newFlakySite()
-		metrics := &MiddlewareMetrics{}
-		h := Middleware(site, MiddlewareOptions{Metrics: metrics})
+		reg := telemetry.NewRegistry()
+		h := Middleware(site, MiddlewareOptions{Telemetry: reg})
 		prime(t, h)
 
 		site.mode.Store("panic")
@@ -139,16 +139,16 @@ func TestLadderRungs(t *testing.T) {
 		if rec.Code != 200 || !strings.Contains(rec.Header().Get("Warning"), "110") {
 			t.Fatalf("panic with stale available: status=%d warning=%q", rec.Code, rec.Header().Get("Warning"))
 		}
-		if metrics.PanicsRecovered.Load() != 1 || metrics.LadderStale.Load() != 1 {
-			t.Fatalf("panics=%d stale=%d", metrics.PanicsRecovered.Load(), metrics.LadderStale.Load())
+		if reg.Counter("middleware.panics_recovered").Load() != 1 || reg.Counter("middleware.ladder_stale").Load() != 1 {
+			t.Fatalf("panics=%d stale=%d", reg.Counter("middleware.panics_recovered").Load(), reg.Counter("middleware.ladder_stale").Load())
 		}
 	})
 
 	t.Run("passthrough on queue timeout", func(t *testing.T) {
 		site := newFlakySite()
-		metrics := &MiddlewareMetrics{}
+		reg := telemetry.NewRegistry()
 		h := Middleware(site, MiddlewareOptions{
-			Metrics:      metrics,
+			Telemetry:    reg,
 			MaxInflight:  1,
 			MaxQueue:     4,
 			QueueTimeout: 5 * time.Millisecond,
@@ -174,8 +174,8 @@ func TestLadderRungs(t *testing.T) {
 		if strings.Contains(rec.Body.String(), RegistrationSnippet) {
 			t.Fatal("passthrough response got the snippet injected")
 		}
-		if metrics.LadderPassthrough.Load() != 1 {
-			t.Fatalf("LadderPassthrough = %d", metrics.LadderPassthrough.Load())
+		if reg.Counter("middleware.ladder_passthrough").Load() != 1 {
+			t.Fatalf("LadderPassthrough = %d", reg.Counter("middleware.ladder_passthrough").Load())
 		}
 
 		close(blockCh)
@@ -185,9 +185,9 @@ func TestLadderRungs(t *testing.T) {
 
 	t.Run("503 on full queue", func(t *testing.T) {
 		site := newFlakySite()
-		metrics := &MiddlewareMetrics{}
+		reg := telemetry.NewRegistry()
 		h := Middleware(site, MiddlewareOptions{
-			Metrics:     metrics,
+			Telemetry:   reg,
 			MaxInflight: 1,
 			MaxQueue:    -1, // no queue: immediate shed
 			RetryAfter:  7 * time.Second,
@@ -206,8 +206,8 @@ func TestLadderRungs(t *testing.T) {
 		if rec.Header().Get("Retry-After") != "7" {
 			t.Fatalf("Retry-After = %q", rec.Header().Get("Retry-After"))
 		}
-		if metrics.LadderRejected.Load() != 1 {
-			t.Fatalf("LadderRejected = %d", metrics.LadderRejected.Load())
+		if reg.Counter("middleware.ladder_rejected").Load() != 1 {
+			t.Fatalf("LadderRejected = %d", reg.Counter("middleware.ladder_rejected").Load())
 		}
 
 		close(blockCh)
@@ -217,9 +217,9 @@ func TestLadderRungs(t *testing.T) {
 
 	t.Run("shed prefers stale over passthrough", func(t *testing.T) {
 		site := newFlakySite()
-		metrics := &MiddlewareMetrics{}
+		reg := telemetry.NewRegistry()
 		h := Middleware(site, MiddlewareOptions{
-			Metrics:     metrics,
+			Telemetry:   reg,
 			MaxInflight: 1,
 			MaxQueue:    -1,
 		})
@@ -236,8 +236,8 @@ func TestLadderRungs(t *testing.T) {
 		if rec.Code != 200 || !strings.Contains(rec.Header().Get("Warning"), "110") {
 			t.Fatalf("shed with stale: status=%d warning=%q", rec.Code, rec.Header().Get("Warning"))
 		}
-		if metrics.LadderStale.Load() != 1 || metrics.LadderRejected.Load() != 0 {
-			t.Fatalf("stale=%d rejected=%d", metrics.LadderStale.Load(), metrics.LadderRejected.Load())
+		if reg.Counter("middleware.ladder_stale").Load() != 1 || reg.Counter("middleware.ladder_rejected").Load() != 0 {
+			t.Fatalf("stale=%d rejected=%d", reg.Counter("middleware.ladder_stale").Load(), reg.Counter("middleware.ladder_rejected").Load())
 		}
 
 		close(blockCh)
@@ -262,10 +262,8 @@ func TestLadderErrorWithoutStaleIsHonest(t *testing.T) {
 // entirely and serves stale, then recovers through a half-open trial.
 func TestBreakerFlipsToStaleServing(t *testing.T) {
 	site := newFlakySite()
-	metrics := &MiddlewareMetrics{}
 	reg := telemetry.NewRegistry()
 	h := Middleware(site, MiddlewareOptions{
-		Metrics:                metrics,
 		Telemetry:              reg,
 		OriginFailureThreshold: 2,
 		OriginCooldown:         time.Hour, // no recovery inside this test
@@ -293,8 +291,8 @@ func TestBreakerFlipsToStaleServing(t *testing.T) {
 	if reg.Snapshot().Counters["middleware.origin.trips"] != 1 {
 		t.Fatalf("trips counter: %+v", reg.Snapshot().Counters)
 	}
-	if metrics.LadderStale.Load() != 5 {
-		t.Fatalf("LadderStale = %d, want 5 (2 held errors + 3 open-breaker)", metrics.LadderStale.Load())
+	if reg.Counter("middleware.ladder_stale").Load() != 5 {
+		t.Fatalf("LadderStale = %d, want 5 (2 held errors + 3 open-breaker)", reg.Counter("middleware.ladder_stale").Load())
 	}
 }
 
@@ -303,9 +301,9 @@ func TestBreakerFlipsToStaleServing(t *testing.T) {
 func TestBreakerWithoutStaleRejects(t *testing.T) {
 	site := newFlakySite()
 	site.mode.Store("err")
-	metrics := &MiddlewareMetrics{}
+	reg := telemetry.NewRegistry()
 	h := Middleware(site, MiddlewareOptions{
-		Metrics:                metrics,
+		Telemetry:              reg,
 		OriginFailureThreshold: 1,
 		OriginCooldown:         time.Hour,
 	})
@@ -316,8 +314,8 @@ func TestBreakerWithoutStaleRejects(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
 		t.Fatalf("open breaker without stale: %d Retry-After=%q", rec.Code, rec.Header().Get("Retry-After"))
 	}
-	if metrics.LadderRejected.Load() != 1 {
-		t.Fatalf("LadderRejected = %d", metrics.LadderRejected.Load())
+	if reg.Counter("middleware.ladder_rejected").Load() != 1 {
+		t.Fatalf("LadderRejected = %d", reg.Counter("middleware.ladder_rejected").Load())
 	}
 }
 
@@ -326,9 +324,9 @@ func TestBreakerWithoutStaleRejects(t *testing.T) {
 // and map assembly and delivers the HTML un-instrumented.
 func TestBudgetExhaustedServesPlain(t *testing.T) {
 	site := newFlakySite()
-	metrics := &MiddlewareMetrics{}
+	reg := telemetry.NewRegistry()
 	h := Middleware(site, MiddlewareOptions{
-		Metrics:       metrics,
+		Telemetry:     reg,
 		RequestBudget: time.Nanosecond, // spent before the handler returns
 	})
 	rec := get(h, "/page")
@@ -344,8 +342,8 @@ func TestBudgetExhaustedServesPlain(t *testing.T) {
 	if rec.Body.String() != flakyPage {
 		t.Fatalf("body = %q, want the raw page", rec.Body.String())
 	}
-	if metrics.BudgetExhausted.Load() != 1 {
-		t.Fatalf("BudgetExhausted = %d", metrics.BudgetExhausted.Load())
+	if reg.Counter("middleware.budget_exhausted").Load() != 1 {
+		t.Fatalf("BudgetExhausted = %d", reg.Counter("middleware.budget_exhausted").Load())
 	}
 	// A generous budget decorates normally.
 	h2 := Middleware(newFlakySite(), MiddlewareOptions{RequestBudget: time.Minute})
@@ -361,10 +359,8 @@ func TestBudgetExhaustedServesPlain(t *testing.T) {
 func TestOverloadBurstInvariants(t *testing.T) {
 	leakcheck.Check(t)
 	site := newFlakySite()
-	metrics := &MiddlewareMetrics{}
 	reg := telemetry.NewRegistry()
 	h := Middleware(site, MiddlewareOptions{
-		Metrics:      metrics,
 		Telemetry:    reg,
 		MaxInflight:  2,
 		MaxQueue:     2,
@@ -401,7 +397,7 @@ func TestOverloadBurstInvariants(t *testing.T) {
 	}
 	snap := reg.Snapshot()
 	shed := snap.Counters["middleware.gate.shed_timeout"] + snap.Counters["middleware.gate.shed_full"]
-	rungs := metrics.LadderStale.Load() + metrics.LadderPassthrough.Load() + metrics.LadderRejected.Load()
+	rungs := reg.Counter("middleware.ladder_stale").Load() + reg.Counter("middleware.ladder_passthrough").Load() + reg.Counter("middleware.ladder_rejected").Load()
 	if shed != rungs {
 		t.Fatalf("sheds %d != ladder rungs %d: every shed lands on exactly one rung", shed, rungs)
 	}

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"testing/fstest"
+
+	"cachecatalyst/internal/telemetry"
 )
 
 func metricsWorld(t *testing.T) (string, func()) {
@@ -47,19 +49,17 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("content type = %q", ct)
 	}
 	var snap struct {
-		Requests  int64 `json:"requests"`
-		NotFound  int64 `json:"notFound"`
-		MapsBuilt int64 `json:"mapsBuilt"`
-		Recent    []struct {
+		Recent []struct {
 			Path   string `json:"path"`
 			Status int    `json:"status"`
 		} `json:"recent"`
+		Telemetry telemetry.Snapshot `json:"telemetry"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Requests != 3 || snap.NotFound != 1 || snap.MapsBuilt != 1 {
-		t.Fatalf("snapshot = %+v", snap)
+	if c := snap.Telemetry.Counters; c["server.requests"] != 3 || c["server.not_found"] != 1 || c["server.maps_built"] != 1 {
+		t.Fatalf("counters = %v", c)
 	}
 	if len(snap.Recent) != 3 {
 		t.Fatalf("recent = %d entries", len(snap.Recent))
@@ -119,8 +119,8 @@ func TestClientConcurrentGets(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	st := c.Snapshot()
-	if st.LocalHits == 0 {
+	st := c.Telemetry().Snapshot().Counters
+	if st["client.local_hits"] == 0 {
 		t.Error("no local hits across 240 concurrent gets")
 	}
 }

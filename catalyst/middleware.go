@@ -70,12 +70,9 @@ type MiddlewareOptions struct {
 	// render entries vary wildly in size; a TinyLFU admission filter
 	// stops crawler-driven one-hit paths from flushing hot pages.
 	CachePolicy cachestore.Policy
-	// Metrics, when set, receives the middleware's resilience counters
-	// (panics recovered, breaker trips, map trims, probe evictions).
-	Metrics *MiddlewareMetrics
-	// Telemetry, when set, indexes the middleware's counters, both its
-	// caches, and an HTML decoration-latency histogram in the given
-	// registry under "middleware.*".
+	// Telemetry is the registry the middleware's counters, its caches'
+	// counters and an HTML decoration-latency histogram live in, under
+	// "middleware.*". Nil selects a private registry.
 	Telemetry *telemetry.Registry
 	// MaxInflight bounds how many instrumented GET/HEAD requests may run
 	// concurrently. Excess requests wait in a short queue (MaxQueue /
@@ -214,13 +211,27 @@ func Middleware(next http.Handler, opts MiddlewareOptions) http.Handler {
 	if opts.MaxProbeEntries <= 0 {
 		opts.MaxProbeEntries = 4096
 	}
-	if opts.Metrics == nil {
-		opts.Metrics = &MiddlewareMetrics{}
+	if opts.Telemetry == nil {
+		opts.Telemetry = telemetry.NewRegistry()
 	}
-	m := &middleware{next: next, opts: opts}
-	if opts.Telemetry != nil {
-		opts.Metrics.RegisterTelemetry(opts.Telemetry)
-		m.htmlNS = opts.Telemetry.Histogram("middleware.html_ns")
+	reg := opts.Telemetry
+	m := &middleware{
+		next:              next,
+		opts:              opts,
+		htmlNS:            reg.Histogram("middleware.html_ns"),
+		panicsRecovered:   reg.Counter("middleware.panics_recovered"),
+		breakerTrips:      reg.Counter("middleware.breaker_trips"),
+		probesSwept:       reg.Counter("middleware.probes_swept"),
+		probesUnparsable:  reg.Counter("middleware.probes_unparsable"),
+		mapEntriesDropped: reg.Counter("middleware.map_entries_dropped"),
+		rendersEvicted:    reg.Counter("middleware.renders_evicted"),
+		encodeReuses:      reg.Counter("middleware.encode_reuses"),
+		ladderStale:       reg.Counter("middleware.ladder_stale"),
+		ladderPassthrough: reg.Counter("middleware.ladder_passthrough"),
+		ladderRejected:    reg.Counter("middleware.ladder_rejected"),
+		budgetExhausted:   reg.Counter("middleware.budget_exhausted"),
+		hintsSent:         reg.Counter("middleware.hints_sent"),
+		hotMapHits:        reg.Counter("middleware.hotmap_hits"),
 	}
 	d := &m.def
 	d.requestBudget = opts.RequestBudget
@@ -236,29 +247,27 @@ func Middleware(next http.Handler, opts MiddlewareOptions) http.Handler {
 			return probeBaseCost + int64(len(p.cssBody))
 		},
 		Policy:    opts.CachePolicy,
-		OnEvict:   func(string, probe) { opts.Metrics.ProbesSwept.Add(1) },
-		Telemetry: opts.Telemetry,
+		OnEvict:   func(string, probe) { m.probesSwept.Add(1) },
+		Telemetry: reg,
 		Name:      "middleware.probes",
 	})
 	d.pages = decorate.New(decorate.Options{
-		Name:            "middleware",
-		MaxRenderBytes:  opts.MaxRenderBytes,
-		HotIndex:        true,
-		StaleFor:        opts.staleFor(),
-		Delta:           opts.Delta,
-		Policy:          opts.CachePolicy,
-		Telemetry:       opts.Telemetry,
-		ServerTiming:    opts.ServerTiming,
-		RendersEvicted:  &opts.Metrics.RendersEvicted,
-		DeltasServed:    &opts.Metrics.DeltasServed,
-		DeltaBytesSaved: &opts.Metrics.DeltaBytesSaved,
+		Name:           "middleware",
+		MaxRenderBytes: opts.MaxRenderBytes,
+		HotIndex:       true,
+		StaleFor:       opts.staleFor(),
+		Delta:          opts.Delta,
+		Policy:         opts.CachePolicy,
+		Telemetry:      reg,
+		ServerTiming:   opts.ServerTiming,
+		RendersEvicted: m.rendersEvicted,
 	})
 	if opts.MaxInflight > 0 {
 		d.gate = resilience.NewGate(resilience.GateOptions{
 			MaxInflight:  opts.MaxInflight,
 			MaxQueue:     opts.MaxQueue,
 			QueueTimeout: opts.QueueTimeout,
-			Telemetry:    opts.Telemetry,
+			Telemetry:    reg,
 			Name:         "middleware.gate",
 		})
 	}
@@ -268,7 +277,7 @@ func Middleware(next http.Handler, opts MiddlewareOptions) http.Handler {
 		d.breaker = resilience.NewBreaker(resilience.BreakerOptions{
 			FailureThreshold: opts.OriginFailureThreshold,
 			Cooldown:         opts.OriginCooldown,
-			Telemetry:        opts.Telemetry,
+			Telemetry:        reg,
 			Name:             "middleware.origin",
 		})
 	}
@@ -283,7 +292,22 @@ const probeBaseCost = 256
 type middleware struct {
 	next   http.Handler
 	opts   MiddlewareOptions
-	htmlNS *telemetry.Histogram // nil without telemetry
+	htmlNS *telemetry.Histogram
+	// The middleware's counters, held by the registry.
+	panicsRecovered   *telemetry.Counter // inner-handler panics converted to 500s
+	breakerTrips      *telemetry.Counter // per-path probe breakers opening
+	probesSwept       *telemetry.Counter // probe-cache evictions (MaxProbeEntries)
+	probesUnparsable  *telemetry.Counter // subresource paths that are no valid request target
+	mapEntriesDropped *telemetry.Counter // map entries trimmed to fit MaxMapBytes
+	rendersEvicted    *telemetry.Counter // render-cache evictions (MaxRenderBytes)
+	encodeReuses      *telemetry.Counter // maps reusing a cached encoding (see probeGen)
+	ladderStale       *telemetry.Counter // shed or failed requests served stale (Warning 110)
+	ladderPassthrough *telemetry.Counter // shed requests passed through un-instrumented
+	ladderRejected    *telemetry.Counter // shed requests answered 503 + Retry-After
+	budgetExhausted   *telemetry.Counter // HTML served bare: the deadline budget ran out
+	hintsSent         *telemetry.Counter // 103 Early Hints sent
+	hotMapHits        *telemetry.Counter // maps adopted from a cluster peer (Exchange)
+
 	// def is the process-global serving state: the only state a
 	// single-tenant deployment ever touches, and the parent every tenant's
 	// namespaced state derives from. Requests whose context carries no
@@ -393,7 +417,7 @@ type probe struct {
 func (m *middleware) serveInner(w http.ResponseWriter, r *http.Request) (panicked bool) {
 	defer func() {
 		if v := recover(); v != nil {
-			m.opts.Metrics.PanicsRecovered.Add(1)
+			m.panicsRecovered.Add(1)
 			panicked = true
 		}
 	}()
@@ -500,7 +524,7 @@ func (m *middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// HTML un-instrumented — late-but-plain beats later-and-decorated,
 	// and the client simply falls back to ordinary caching.
 	if b, ok := resilience.BudgetFrom(r.Context()); ok && b.Exhausted() {
-		m.opts.Metrics.BudgetExhausted.Add(1)
+		m.budgetExhausted.Add(1)
 		m.servePlain(w, r, sw)
 		return
 	}
@@ -511,10 +535,6 @@ func (m *middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// rebuilding from scratch. The histogram wraps the call rather than
 	// deferring a closure — a closure per request is exactly the kind of
 	// allocation this path exists to avoid.
-	if m.htmlNS == nil {
-		m.serveHTML(ts, w, r, sw, pageURL)
-		return
-	}
 	htmlStart := time.Now()
 	m.serveHTML(ts, w, r, sw, pageURL)
 	m.htmlNS.Observe(time.Since(htmlStart).Nanoseconds())
@@ -537,7 +557,7 @@ func (m *middleware) serveHTML(ts *tenantState, w http.ResponseWriter, r *http.R
 	h := w.Header()
 	if m.opts.EarlyHints && decorate.AddPreloadLinks(h, ent.Refs) {
 		w.WriteHeader(http.StatusEarlyHints)
-		m.opts.Metrics.HintsSent.Add(1)
+		m.hintsSent.Add(1)
 		telemetry.Event(ctx, "hints", pageURL)
 	}
 
@@ -566,7 +586,7 @@ func (m *middleware) setMap(ctx context.Context, ts *tenantState, r *http.Reques
 	now := time.Now()
 	if hdr, ok := ent.Encoded(gen, now); ok {
 		h[HeaderName] = hdr
-		m.opts.Metrics.EncodeReuses.Add(1)
+		m.encodeReuses.Add(1)
 		return hdr[0]
 	}
 	if enc, exp, ok := m.exchangeLookup(ts, pageURL, ent, now); ok {
@@ -575,14 +595,14 @@ func (m *middleware) setMap(ctx context.Context, ts *tenantState, r *http.Reques
 		// expiry bounds the trust window; the local generation stamp means
 		// any local probe outcome still invalidates it immediately.
 		h[HeaderName] = ent.SetEncoded(gen, exp, enc)
-		m.opts.Metrics.HotMapHits.Add(1)
+		m.hotMapHits.Add(1)
 		telemetry.Event(ctx, "hotmap-adopt", pageURL)
 		return enc
 	}
 	res := &probeResolver{m: m, ts: ts, req: r, ctx: ctx}
 	etags := core.ResolveRefsContext(ctx, ent.Refs, res, core.BuildOptions{Concurrency: m.opts.probeConcurrency()})
 	if dropped := decorate.CapMapBytes(etags, m.opts.MaxMapBytes); dropped > 0 {
-		m.opts.Metrics.MapEntriesDropped.Add(int64(dropped))
+		m.mapEntriesDropped.Add(int64(dropped))
 	}
 	enc := etags.Encode()
 	// Never cache an encoding assembled under a cancelled request: a
@@ -683,7 +703,7 @@ func (m *middleware) probe(ts *tenantState, path string, via *http.Request, ctx 
 		if !ok {
 			// Page content chose this path; one that is not a request
 			// target stays out of the map instead of reaching the handler.
-			m.opts.Metrics.ProbesUnparsable.Add(1)
+			m.probesUnparsable.Add(1)
 			telemetry.Event(ctx, "probe-unparsable", path)
 			pr := probe{expires: time.Now().Add(m.opts.ProbeTTL)}
 			ts.probes.Put(path, pr)
@@ -714,7 +734,7 @@ func (m *middleware) probe(ts *tenantState, path string, via *http.Request, ctx 
 			}
 			if pr.fails >= threshold {
 				pr.expires = time.Now().Add(m.opts.BreakerCooldown)
-				m.opts.Metrics.BreakerTrips.Add(1)
+				m.breakerTrips.Add(1)
 				telemetry.Event(ctx, "breaker-open", path)
 			}
 		}

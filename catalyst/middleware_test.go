@@ -9,6 +9,8 @@ import (
 	"testing"
 	"testing/fstest"
 	"time"
+
+	"cachecatalyst/internal/telemetry"
 )
 
 // innerSite is a plain file-serving handler with no CacheCatalyst
@@ -338,8 +340,8 @@ func TestHostileRefDoesNotCrashProcess(t *testing.T) {
 		w.Header().Set("Content-Type", "image/png")
 		_, _ = io.WriteString(w, r.URL.String())
 	})
-	metrics := &MiddlewareMetrics{}
-	h := Middleware(inner, MiddlewareOptions{ProbeTTL: time.Hour, Metrics: metrics})
+	reg := telemetry.NewRegistry()
+	h := Middleware(inner, MiddlewareOptions{ProbeTTL: time.Hour, Telemetry: reg})
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
 	if rec.Code != http.StatusOK {
@@ -359,7 +361,7 @@ func TestHostileRefDoesNotCrashProcess(t *testing.T) {
 	if pr := mid.probe(&mid.def, "/bad\x7fpath", httptest.NewRequest(http.MethodGet, "/", nil), context.Background()); pr.ok {
 		t.Fatal("an unparsable path probed ok")
 	}
-	if got := metrics.ProbesUnparsable.Load(); got != 1 {
+	if got := reg.Counter("middleware.probes_unparsable").Load(); got != 1 {
 		t.Fatalf("ProbesUnparsable = %d, want 1", got)
 	}
 }

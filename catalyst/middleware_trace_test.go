@@ -51,9 +51,7 @@ func taggedInnerSite() http.Handler {
 // that the middleware's instruments land in the shared registry.
 func TestMiddlewareTraceEndToEnd(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	var metrics MiddlewareMetrics
 	h := Middleware(taggedInnerSite(), MiddlewareOptions{
-		Metrics:      &metrics,
 		Telemetry:    reg,
 		ServerTiming: true,
 	})

@@ -56,7 +56,7 @@ func TestRenderCacheReusesUnchangedPage(t *testing.T) {
 	if third.Header().Get(HeaderName) != first.Header().Get(HeaderName) {
 		t.Fatal("reused encoding differs from the rebuilt one")
 	}
-	if m.opts.Metrics.EncodeReuses.Load() == 0 {
+	if m.encodeReuses.Load() == 0 {
 		t.Fatal("stable probes did not reuse the cached encoding")
 	}
 }

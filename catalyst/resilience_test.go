@@ -1,7 +1,6 @@
 package catalyst
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"cachecatalyst/internal/telemetry"
 )
 
 // fastRetry keeps test backoffs in the microsecond range.
@@ -40,7 +41,7 @@ func TestClientRetriesTransient5xx(t *testing.T) {
 	if resp.Source != "network" || string(resp.Body) != "finally" {
 		t.Fatalf("resp: %s %q", resp.Source, resp.Body)
 	}
-	if st := c.Snapshot(); st.Retries != 2 || st.NetErrors != 0 {
+	if st := c.Telemetry().Snapshot().Counters; st["client.retries"] != 2 || st["client.net_errors"] != 0 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
@@ -61,7 +62,7 @@ func TestClientDoesNotRetry4xx(t *testing.T) {
 	if resp.StatusCode != 404 || calls.Load() != 1 {
 		t.Fatalf("status %d after %d calls", resp.StatusCode, calls.Load())
 	}
-	if st := c.Snapshot(); st.Retries != 0 {
+	if st := c.Telemetry().Snapshot().Counters; st["client.retries"] != 0 {
 		t.Fatalf("retried a 404: %+v", st)
 	}
 }
@@ -88,8 +89,8 @@ func TestClientServesStaleWhenOriginDies(t *testing.T) {
 	if string(stale.Body) != string(first.Body) {
 		t.Fatal("stale body differs from cached body")
 	}
-	st := c.Snapshot()
-	if st.StaleServes != 1 || st.NetErrors != 1 || st.Retries != int64(opts.MaxRetries) {
+	st := c.Telemetry().Snapshot().Counters
+	if st["client.stale_serves"] != 1 || st["client.net_errors"] != 1 || st["client.retries"] != int64(opts.MaxRetries) {
 		t.Fatalf("stats: %+v", st)
 	}
 }
@@ -144,7 +145,7 @@ func TestClientTimeoutIsAClearErrorNotAHang(t *testing.T) {
 	if elapsed > 5*time.Second {
 		t.Fatalf("Get hung for %v", elapsed)
 	}
-	if st := c.Snapshot(); st.Timeouts != 1 || st.NetErrors != 1 {
+	if st := c.Telemetry().Snapshot().Counters; st["client.timeouts"] != 1 || st["client.net_errors"] != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
@@ -178,8 +179,8 @@ func TestMiddlewareRecoversPanics(t *testing.T) {
 		w.Header().Set("Content-Type", "text/plain")
 		fmt.Fprint(w, "ok")
 	})
-	var metrics MiddlewareMetrics
-	h := Middleware(inner, MiddlewareOptions{Metrics: &metrics})
+	reg := telemetry.NewRegistry()
+	h := Middleware(inner, MiddlewareOptions{Telemetry: reg})
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/boom", nil))
@@ -198,7 +199,7 @@ func TestMiddlewareRecoversPanics(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("POST panic answered %d", rec.Code)
 	}
-	if got := metrics.PanicsRecovered.Load(); got != 2 {
+	if got := reg.Counter("middleware.panics_recovered").Load(); got != 2 {
 		t.Fatalf("panics recovered = %d, want 2", got)
 	}
 }
@@ -214,12 +215,12 @@ func TestMiddlewareProbeCircuitBreaker(t *testing.T) {
 		cssCalls.Add(1)
 		http.Error(w, "db down", http.StatusInternalServerError)
 	})
-	var metrics MiddlewareMetrics
+	reg := telemetry.NewRegistry()
 	h := Middleware(mux, MiddlewareOptions{
 		ProbeTTL:         time.Nanosecond, // every page load re-probes
 		BreakerThreshold: 2,
 		BreakerCooldown:  time.Hour,
-		Metrics:          &metrics,
+		Telemetry:        reg,
 	})
 
 	loadPage := func() {
@@ -240,7 +241,7 @@ func TestMiddlewareProbeCircuitBreaker(t *testing.T) {
 	if got := cssCalls.Load(); got != 2 {
 		t.Fatalf("probe calls = %d, want 2 (breaker did not open)", got)
 	}
-	if got := metrics.BreakerTrips.Load(); got != 1 {
+	if got := reg.Counter("middleware.breaker_trips").Load(); got != 1 {
 		t.Fatalf("breaker trips = %d, want 1", got)
 	}
 }
@@ -258,11 +259,11 @@ func TestMiddlewareProbeCacheBounded(t *testing.T) {
 		w.Header().Set("Content-Type", "image/png")
 		fmt.Fprint(w, "PNG")
 	})
-	var metrics MiddlewareMetrics
+	reg := telemetry.NewRegistry()
 	h := Middleware(mux, MiddlewareOptions{
 		ProbeTTL:        time.Nanosecond,
 		MaxProbeEntries: 8,
-		Metrics:         &metrics,
+		Telemetry:       reg,
 	})
 	for i := 0; i < 100; i++ {
 		rec := httptest.NewRecorder()
@@ -275,7 +276,7 @@ func TestMiddlewareProbeCacheBounded(t *testing.T) {
 	if size := m.def.probes.Len(); size > 8 {
 		t.Fatalf("probe cache grew to %d entries, cap 8", size)
 	}
-	if metrics.ProbesSwept.Load() == 0 {
+	if reg.Counter("middleware.probes_swept").Load() == 0 {
 		t.Fatal("no probe-cache entries were evicted")
 	}
 }
@@ -297,8 +298,8 @@ func TestMiddlewareMapByteCap(t *testing.T) {
 		w.Header().Set("Content-Type", "image/png")
 		fmt.Fprint(w, "PNG", r.URL.Path)
 	})
-	var metrics MiddlewareMetrics
-	h := Middleware(mux, MiddlewareOptions{MaxMapBytes: 512, Metrics: &metrics})
+	reg := telemetry.NewRegistry()
+	h := Middleware(mux, MiddlewareOptions{MaxMapBytes: 512, Telemetry: reg})
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/big.html", nil))
@@ -313,7 +314,7 @@ func TestMiddlewareMapByteCap(t *testing.T) {
 	if len(m) == 0 {
 		t.Fatal("cap removed every entry")
 	}
-	if metrics.MapEntriesDropped.Load() == 0 {
+	if reg.Counter("middleware.map_entries_dropped").Load() == 0 {
 		t.Fatal("drop counter did not move")
 	}
 	// Deterministic trim: the lowest-sorting paths survive.
@@ -322,9 +323,11 @@ func TestMiddlewareMapByteCap(t *testing.T) {
 	}
 }
 
-// --- metrics exposure (satellite: observable resilience) ----------------
+// --- metrics exposure --------------------------------------------------
 
-func TestClientMetricsHandlerReportsResilienceCounters(t *testing.T) {
+// TestClientRegistryReportsResilienceCounters: retries, stale serves and
+// network errors are visible in the client's registry.
+func TestClientRegistryReportsResilienceCounters(t *testing.T) {
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// First request succeeds, everything after is a 503 — so the
@@ -340,6 +343,7 @@ func TestClientMetricsHandlerReportsResilienceCounters(t *testing.T) {
 
 	opts := fastRetry
 	opts.StaleIfError = true
+	opts.Telemetry = telemetry.NewRegistry()
 	c := NewClientWithOptions(nil, opts)
 	if _, err := c.Get(ts.URL + "/r"); err != nil {
 		t.Fatal(err)
@@ -349,38 +353,11 @@ func TestClientMetricsHandlerReportsResilienceCounters(t *testing.T) {
 		t.Fatalf("expected stale serve, got %v / %v", resp, err)
 	}
 
-	mts := httptest.NewServer(ClientMetricsHandler(c))
-	defer mts.Close()
-	res, err := http.Get(mts.URL + "/")
-	if err != nil {
-		t.Fatal(err)
+	st := opts.Telemetry.Snapshot().Counters
+	if st["client.retries"] != int64(opts.MaxRetries) || st["client.stale_serves"] != 1 || st["client.net_errors"] != 1 {
+		t.Fatalf("registry counters: %v", st)
 	}
-	defer res.Body.Close()
-	var snap ClientStats
-	if err := json.NewDecoder(res.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Retries != int64(opts.MaxRetries) || snap.StaleServes != 1 || snap.NetErrors != 1 {
-		t.Fatalf("exported stats: %+v", snap)
-	}
-	if snap.NetworkFetches != 1 {
-		t.Fatalf("network fetches: %+v", snap)
-	}
-}
-
-func TestMiddlewareMetricsSnapshot(t *testing.T) {
-	var m MiddlewareMetrics
-	m.PanicsRecovered.Add(2)
-	m.BreakerTrips.Add(1)
-	snap := m.Snapshot()
-	if snap.PanicsRecovered != 2 || snap.BreakerTrips != 1 || snap.ProbesSwept != 0 {
-		t.Fatalf("snapshot: %+v", snap)
-	}
-	out, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(out), `"panicsRecovered":2`) {
-		t.Fatalf("json: %s", out)
+	if st["client.network_fetches"] != 1 {
+		t.Fatalf("network fetches: %v", st)
 	}
 }

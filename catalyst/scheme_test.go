@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"cachecatalyst/internal/delta"
+	"cachecatalyst/internal/telemetry"
 )
 
 // swapSite is innerSite with a mutable HTML body, for exercising the
@@ -33,8 +34,8 @@ func TestMiddlewareDeltaRoundTrip(t *testing.T) {
 	page := `<html><head><link rel="stylesheet" href="/style.css"></head><body>version one of a page body long enough that a patch is worth serving</body></html>`
 	var cur atomic.Value
 	cur.Store(page)
-	var mm MiddlewareMetrics
-	h := Middleware(swapSite(&cur), MiddlewareOptions{Delta: true, Metrics: &mm})
+	reg := telemetry.NewRegistry()
+	h := Middleware(swapSite(&cur), MiddlewareOptions{Delta: true, Telemetry: reg})
 
 	// First visit: full body, validator names the base the client now holds.
 	rec := httptest.NewRecorder()
@@ -74,10 +75,10 @@ func TestMiddlewareDeltaRoundTrip(t *testing.T) {
 	if len(patch) >= len(full) {
 		t.Errorf("patch (%d bytes) not smaller than full body (%d bytes)", len(patch), len(full))
 	}
-	if got := mm.DeltasServed.Load(); got != 1 {
+	if got := reg.Counter("middleware.deltas_served").Load(); got != 1 {
 		t.Errorf("DeltasServed = %d, want 1", got)
 	}
-	if got, want := mm.DeltaBytesSaved.Load(), int64(len(full)-len(patch)); got != want {
+	if got, want := reg.Counter("middleware.delta_bytes_saved").Load(), int64(len(full)-len(patch)); got != want {
 		t.Errorf("DeltaBytesSaved = %d, want %d", got, want)
 	}
 
@@ -101,8 +102,8 @@ func TestMiddlewareDeltaLosesTo304(t *testing.T) {
 	page := `<html><body>stable page</body></html>`
 	var cur atomic.Value
 	cur.Store(page)
-	var mm MiddlewareMetrics
-	h := Middleware(swapSite(&cur), MiddlewareOptions{Delta: true, Metrics: &mm})
+	reg := telemetry.NewRegistry()
+	h := Middleware(swapSite(&cur), MiddlewareOptions{Delta: true, Telemetry: reg})
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
@@ -119,8 +120,8 @@ func TestMiddlewareDeltaLosesTo304(t *testing.T) {
 	if rec2.Header().Get(delta.FromHeader) != "" {
 		t.Error("304 carries a delta header")
 	}
-	if mm.DeltasServed.Load() != 0 {
-		t.Errorf("DeltasServed = %d on an unchanged page", mm.DeltasServed.Load())
+	if reg.Counter("middleware.deltas_served").Load() != 0 {
+		t.Errorf("DeltasServed = %d on an unchanged page", reg.Counter("middleware.deltas_served").Load())
 	}
 }
 
@@ -129,8 +130,8 @@ func TestMiddlewareDeltaLosesTo304(t *testing.T) {
 // informational response is only observable over a socket, via the
 // client-side Got1xxResponse trace hook.
 func TestMiddlewareEarlyHints(t *testing.T) {
-	var mm MiddlewareMetrics
-	ts := httptest.NewServer(Middleware(innerSite(), MiddlewareOptions{EarlyHints: true, Metrics: &mm}))
+	reg := telemetry.NewRegistry()
+	ts := httptest.NewServer(Middleware(innerSite(), MiddlewareOptions{EarlyHints: true, Telemetry: reg}))
 	defer ts.Close()
 
 	var hintCode int
@@ -175,8 +176,8 @@ func TestMiddlewareEarlyHints(t *testing.T) {
 	if resp.Header.Get(HeaderName) == "" {
 		t.Error("final response missing the map header")
 	}
-	if mm.HintsSent.Load() != 1 {
-		t.Errorf("HintsSent = %d, want 1", mm.HintsSent.Load())
+	if reg.Counter("middleware.hints_sent").Load() != 1 {
+		t.Errorf("HintsSent = %d, want 1", reg.Counter("middleware.hints_sent").Load())
 	}
 
 	// Non-HTML responses pass through un-hinted.
@@ -190,7 +191,7 @@ func TestMiddlewareEarlyHints(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp2.Body.Close()
-	if mm.HintsSent.Load() != 1 {
-		t.Errorf("HintsSent = %d after non-HTML request, want still 1", mm.HintsSent.Load())
+	if reg.Counter("middleware.hints_sent").Load() != 1 {
+		t.Errorf("HintsSent = %d after non-HTML request, want still 1", reg.Counter("middleware.hints_sent").Load())
 	}
 }

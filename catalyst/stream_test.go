@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"cachecatalyst/internal/etag"
+	"cachecatalyst/internal/telemetry"
 )
 
 // countingHandler wraps a handler and counts how many times it runs.
@@ -267,11 +268,11 @@ func TestProbeSingleflight(t *testing.T) {
 // and sniffing writer as concurrency-safe.
 func TestMiddlewareParallelStress(t *testing.T) {
 	t.Parallel()
-	metrics := &MiddlewareMetrics{}
+	reg := telemetry.NewRegistry()
 	h := Middleware(innerSite(), MiddlewareOptions{
 		ProbeTTL:        time.Millisecond, // force constant re-probing
 		MaxProbeEntries: 2,                // fewer than the page's 4 subresources: constant eviction
-		Metrics:         metrics,
+		Telemetry:       reg,
 	})
 	paths := []string{"/", "/logo.png", "/api/data", "/style.css", WorkerPath, "/missing"}
 
@@ -296,7 +297,7 @@ func TestMiddlewareParallelStress(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if metrics.ProbesSwept.Load() == 0 {
+	if reg.Counter("middleware.probes_swept").Load() == 0 {
 		t.Error("stress with MaxProbeEntries=4 evicted nothing")
 	}
 }
@@ -338,8 +339,8 @@ func TestClientGetParallelStressBounded(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	st := c.Snapshot()
-	if st.CacheEvictions == 0 {
+	st := c.Telemetry().Snapshot().Counters
+	if st["client.cache.evictions"] == 0 {
 		t.Error("bounded client cache never evicted under stress")
 	}
 }

@@ -94,7 +94,7 @@ func main() {
 		configPath = flag.String("config", "", "multi-tenant config file (JSON); fronts several upstreams with per-tenant caches, breakers and telemetry")
 		record     = flag.Bool("record", false, "enable first-visit session recording")
 		plain      = flag.Bool("plain", false, "disable CacheCatalyst (baseline mode)")
-		metrics    = flag.Bool("metrics", false, "expose counters, telemetry registry and recent requests at "+catalyst.MetricsPath)
+		metrics    = flag.Bool("metrics", false, "serve the telemetry registry (every counter and histogram), the effective config and, in -dir mode, recent requests at "+catalyst.MetricsPath)
 		pprof      = flag.Bool("pprof", false, "with -metrics, also mount net/http/pprof under /debug/pprof/")
 		timing     = flag.Bool("server-timing", false, "report per-request cache decisions in Server-Timing response headers")
 

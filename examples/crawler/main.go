@@ -22,23 +22,25 @@ import (
 	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/htmlparse"
 	"cachecatalyst/internal/server"
+	"cachecatalyst/internal/telemetry"
 	"cachecatalyst/internal/vclock"
 	"cachecatalyst/internal/webgen"
 )
 
 func main() {
-	// Serve a realistic synthetic site with CacheCatalyst enabled.
+	// Serve a realistic synthetic site with CacheCatalyst enabled. The
+	// server and the client count into one registry.
+	reg := telemetry.NewRegistry()
 	clock := vclock.NewVirtual(vclock.Epoch)
 	site := webgen.GenerateOne(webgen.Params{Sites: 1, Seed: 21, Scale: 0.5}, 0, clock)
-	srv := server.New(site.Content(), server.Options{Catalyst: true, Clock: clock})
+	srv := server.New(site.Content(), server.Options{Catalyst: true, Clock: clock, Telemetry: reg})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	client := catalyst.NewClient(nil)
+	client := catalyst.NewClientWithOptions(nil, catalyst.ClientOptions{Telemetry: reg})
 
 	crawl := func(label string) {
-		before := srv.Metrics.Requests.Load()
-		statsBefore := client.Snapshot()
+		before := reg.Snapshot().Counters
 		page, err := client.Get(ts.URL + webgen.PagePath)
 		if err != nil {
 			log.Fatal(err)
@@ -52,13 +54,14 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		stats := client.Snapshot()
+		after := reg.Snapshot().Counters
+		delta := func(name string) int64 { return after[name] - before[name] }
 		fmt.Printf("%-12s server saw %3d requests; client: %d from network, %d revalidated, %d zero-RTT cache hits\n",
 			label,
-			srv.Metrics.Requests.Load()-before,
-			stats.NetworkFetches-statsBefore.NetworkFetches,
-			stats.Revalidations-statsBefore.Revalidations,
-			stats.LocalHits-statsBefore.LocalHits)
+			delta("server.requests"),
+			delta("client.network_fetches"),
+			delta("client.revalidations"),
+			delta("client.local_hits"))
 	}
 
 	fmt.Printf("crawling %s (%d resources)\n\n", site.Host, site.NumResources())

@@ -303,7 +303,7 @@ func TestCrossOriginResourceFetchedFromSecondOrigin(t *testing.T) {
 	if res.Errors != 0 || res.Resources != 2 {
 		t.Fatalf("cross-origin load: %+v", res)
 	}
-	if cdnSrv.Metrics.Requests.Load() != 1 {
+	if cdnSrv.Telemetry().Counter("server.requests").Load() != 1 {
 		t.Fatal("CDN origin not contacted")
 	}
 }

@@ -164,7 +164,7 @@ func TestExchangeRejects(t *testing.T) {
 			}
 		})
 	}
-	if got := e.Metrics.Rejected.Load(); got != int64(len(cases)) {
+	if got := e.opts.Telemetry.Counter("cluster.rejected").Load(); got != int64(len(cases)) {
 		t.Fatalf("Rejected = %d, want %d", got, len(cases))
 	}
 	if e.local.Len() != 0 {

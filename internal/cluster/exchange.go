@@ -50,25 +50,9 @@ type ExchangeOptions struct {
 	// QueueLen bounds the async publish queue; when full, announcements
 	// are dropped (and counted), never blocked on. Zero selects 256.
 	QueueLen int
-	// Telemetry, when set, registers the exchange's counters under
-	// "cluster.*".
+	// Telemetry is the registry the exchange's counters live in, under
+	// "cluster.*". Nil selects a private registry.
 	Telemetry *telemetry.Registry
-}
-
-// ExchangeMetrics counts exchange activity.
-type ExchangeMetrics struct {
-	// Published counts announcements accepted for gossip (before fan-out).
-	Published telemetry.Counter
-	// Received counts announcements accepted from peers.
-	Received telemetry.Counter
-	// Rejected counts announcements refused (malformed JSON, an encoding
-	// DecodeMap won't parse, expired on arrival).
-	Rejected telemetry.Counter
-	// Adopted counts Lookup hits — probe fan-outs avoided.
-	Adopted telemetry.Counter
-	// Dropped counts announcements discarded because the publish queue
-	// was full or a peer POST failed.
-	Dropped telemetry.Counter
 }
 
 // Exchange gossips hot X-Etag-Config encodings between instances. It
@@ -76,13 +60,18 @@ type ExchangeMetrics struct {
 // built encoding out to peers asynchronously; Lookup consults what peers
 // have announced. All methods are safe for concurrent use.
 type Exchange struct {
-	opts    ExchangeOptions
-	client  *http.Client
-	local   *cachestore.Store[hotMapMsg]
-	queue   chan hotMapMsg
-	done    chan struct{}
-	wg      sync.WaitGroup
-	Metrics ExchangeMetrics
+	opts   ExchangeOptions
+	client *http.Client
+	local  *cachestore.Store[hotMapMsg]
+	queue  chan hotMapMsg
+	done   chan struct{}
+	wg     sync.WaitGroup
+
+	published *telemetry.Counter // announcements accepted for gossip, before fan-out
+	received  *telemetry.Counter // announcements accepted from peers
+	rejected  *telemetry.Counter // malformed, undecodable or expired announcements
+	adopted   *telemetry.Counter // Lookup hits: probe fan-outs avoided
+	dropped   *telemetry.Counter // full publish queue or failed peer POST
 }
 
 // NewExchange starts an exchange; Close releases its sender goroutine.
@@ -96,11 +85,20 @@ func NewExchange(opts ExchangeOptions) *Exchange {
 	if opts.QueueLen <= 0 {
 		opts.QueueLen = 256
 	}
+	if opts.Telemetry == nil {
+		opts.Telemetry = telemetry.NewRegistry()
+	}
+	reg := opts.Telemetry
 	e := &Exchange{
-		opts:   opts,
-		client: opts.Client,
-		queue:  make(chan hotMapMsg, opts.QueueLen),
-		done:   make(chan struct{}),
+		opts:      opts,
+		client:    opts.Client,
+		queue:     make(chan hotMapMsg, opts.QueueLen),
+		done:      make(chan struct{}),
+		published: reg.Counter("cluster.published"),
+		received:  reg.Counter("cluster.received"),
+		rejected:  reg.Counter("cluster.rejected"),
+		adopted:   reg.Counter("cluster.adopted"),
+		dropped:   reg.Counter("cluster.dropped"),
 	}
 	if e.client == nil {
 		e.client = &http.Client{Timeout: 2 * time.Second}
@@ -110,16 +108,9 @@ func NewExchange(opts ExchangeOptions) *Exchange {
 		SizeOf: func(key string, m hotMapMsg) int64 {
 			return int64(len(key) + len(m.Enc) + 64)
 		},
-		Telemetry: opts.Telemetry,
+		Telemetry: reg,
 		Name:      "cluster.hotmaps",
 	})
-	if opts.Telemetry != nil {
-		opts.Telemetry.RegisterCounter("cluster.published", &e.Metrics.Published)
-		opts.Telemetry.RegisterCounter("cluster.received", &e.Metrics.Received)
-		opts.Telemetry.RegisterCounter("cluster.rejected", &e.Metrics.Rejected)
-		opts.Telemetry.RegisterCounter("cluster.adopted", &e.Metrics.Adopted)
-		opts.Telemetry.RegisterCounter("cluster.dropped", &e.Metrics.Dropped)
-	}
 	e.wg.Add(1)
 	go e.sender()
 	return e
@@ -142,7 +133,7 @@ func (e *Exchange) Lookup(tenant, page, tag string) (string, int64, bool) {
 	if !ok || time.Now().UnixNano() >= m.Expires {
 		return "", 0, false
 	}
-	e.Metrics.Adopted.Add(1)
+	e.adopted.Add(1)
 	return m.Enc, m.Expires, true
 }
 
@@ -157,9 +148,9 @@ func (e *Exchange) Publish(tenant, page, tag, enc string, expires int64) {
 	msg := hotMapMsg{Tenant: tenant, Page: page, Tag: tag, Enc: enc, Expires: expires}
 	select {
 	case e.queue <- msg:
-		e.Metrics.Published.Add(1)
+		e.published.Add(1)
 	default:
-		e.Metrics.Dropped.Add(1)
+		e.dropped.Add(1)
 	}
 }
 
@@ -181,19 +172,19 @@ func (e *Exchange) sender() {
 			for _, peer := range e.opts.Peers {
 				req, err := http.NewRequest(http.MethodPost, peer+HotMapPath, bytes.NewReader(body))
 				if err != nil {
-					e.Metrics.Dropped.Add(1)
+					e.dropped.Add(1)
 					continue
 				}
 				req.Header.Set("Content-Type", "application/json")
 				resp, err := e.client.Do(req)
 				if err != nil {
-					e.Metrics.Dropped.Add(1)
+					e.dropped.Add(1)
 					continue
 				}
 				_, _ = io.Copy(io.Discard, resp.Body)
 				_ = resp.Body.Close()
 				if resp.StatusCode != http.StatusOK {
-					e.Metrics.Dropped.Add(1)
+					e.dropped.Add(1)
 				}
 			}
 		}
@@ -216,24 +207,24 @@ func (e *Exchange) Handler() http.Handler {
 		}
 		body, err := io.ReadAll(io.LimitReader(r.Body, maxAnnouncementBytes+1))
 		if err != nil || len(body) > maxAnnouncementBytes {
-			e.Metrics.Rejected.Add(1)
+			e.rejected.Add(1)
 			http.Error(w, "announcement too large", http.StatusRequestEntityTooLarge)
 			return
 		}
 		var msg hotMapMsg
 		if err := json.Unmarshal(body, &msg); err != nil || msg.Tenant == "" || msg.Page == "" || msg.Tag == "" {
-			e.Metrics.Rejected.Add(1)
+			e.rejected.Add(1)
 			http.Error(w, "malformed announcement", http.StatusBadRequest)
 			return
 		}
 		if _, err := core.DecodeMap(msg.Enc); err != nil {
-			e.Metrics.Rejected.Add(1)
+			e.rejected.Add(1)
 			http.Error(w, "malformed encoding", http.StatusBadRequest)
 			return
 		}
 		now := time.Now()
 		if msg.Expires <= now.UnixNano() {
-			e.Metrics.Rejected.Add(1)
+			e.rejected.Add(1)
 			http.Error(w, "expired announcement", http.StatusBadRequest)
 			return
 		}
@@ -242,7 +233,7 @@ func (e *Exchange) Handler() http.Handler {
 			msg.Expires = cap
 		}
 		e.local.Put(hotMapKey(msg.Tenant, msg.Page, msg.Tag), msg)
-		e.Metrics.Received.Add(1)
+		e.received.Add(1)
 		w.WriteHeader(http.StatusOK)
 	})
 }

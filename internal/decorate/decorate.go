@@ -54,14 +54,15 @@ type Options struct {
 	// Delta retains served bodies as diff bases for X-Delta-Base requests.
 	Delta bool
 	// Policy is every store's eviction and admission policy.
-	Policy    cachestore.Policy
+	Policy cachestore.Policy
+	// Telemetry holds the stores' counters and the pipeline's own,
+	// Name+".deltas_served" and Name+".delta_bytes_saved". Nil selects a
+	// private registry.
 	Telemetry *telemetry.Registry
 	// ServerTiming mirrors Respond's decisions into Server-Timing.
 	ServerTiming bool
-	// The entry's counters; nil ones are not counted.
-	RendersEvicted  *telemetry.Counter
-	DeltasServed    *telemetry.Counter
-	DeltaBytesSaved *telemetry.Counter
+	// RendersEvicted, when set, counts render-cache evictions.
+	RendersEvicted *telemetry.Counter
 }
 
 // Stores is one namespace of the pipeline's caches: the entry's default
@@ -75,6 +76,9 @@ type Stores struct {
 	stales     *cachestore.Store[*StaleCopy] // nil when disabled
 	deltaBases *cachestore.Store[[]byte]     // pageURL NUL validator → body; nil unless Delta
 	staleTTL   time.Duration
+	// deltasServed counts HTML responses answered with a CCD1 patch;
+	// deltaBytesSaved accumulates the full body minus the patch.
+	deltasServed, deltaBytesSaved *telemetry.Counter
 }
 
 // New builds the default stores for one entry.
@@ -82,13 +86,18 @@ func New(opts Options) *Stores {
 	if opts.MaxRenderBytes == 0 {
 		opts.MaxRenderBytes = 16 << 20
 	}
-	var nop telemetry.Counter
-	for _, c := range []**telemetry.Counter{&opts.RendersEvicted, &opts.DeltasServed, &opts.DeltaBytesSaved} {
-		if *c == nil {
-			*c = &nop
-		}
+	if opts.Telemetry == nil {
+		opts.Telemetry = telemetry.NewRegistry()
 	}
-	s := &Stores{opts: &opts, staleTTL: opts.StaleFor}
+	if opts.RendersEvicted == nil {
+		opts.RendersEvicted = new(telemetry.Counter)
+	}
+	s := &Stores{
+		opts:            &opts,
+		staleTTL:        opts.StaleFor,
+		deltasServed:    opts.Telemetry.Counter(opts.Name + ".deltas_served"),
+		deltaBytesSaved: opts.Telemetry.Counter(opts.Name + ".delta_bytes_saved"),
+	}
 	if opts.MaxRenderBytes > 0 {
 		s.renders = cachestore.New[*Entry](cachestore.Options[*Entry]{
 			MaxBytes:  opts.MaxRenderBytes,
@@ -149,7 +158,7 @@ func (s *Stores) Tenant(t *tenant.Tenant) *Stores {
 	if t.BudgetBytes < 0 {
 		half = -1
 	}
-	ts := &Stores{opts: s.opts, staleTTL: s.staleTTL}
+	ts := &Stores{opts: s.opts, staleTTL: s.staleTTL, deltasServed: s.deltasServed, deltaBytesSaved: s.deltaBytesSaved}
 	if t.StaleFor > 0 {
 		ts.staleTTL = t.StaleFor
 	}

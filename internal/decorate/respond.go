@@ -37,8 +37,8 @@ func (s *Stores) Respond(ctx context.Context, w http.ResponseWriter, r *http.Req
 		// nothing at all); here the entity changed, so diff lazily and
 		// serve the patch only when it actually saves bytes.
 		if patch := delta.Diff(base, body); len(patch) < len(body) {
-			s.opts.DeltasServed.Add(1)
-			s.opts.DeltaBytesSaved.Add(int64(len(body) - len(patch)))
+			s.deltasServed.Add(1)
+			s.deltaBytesSaved.Add(int64(len(body) - len(patch)))
 			h.Set(delta.FromHeader, from)
 			s.decide(ctx, h, "delta", pageURL)
 			body, clen = patch, nil

@@ -295,8 +295,8 @@ func RunHeaderOverhead(cfg Config) (*OverheadResult, error) {
 		if _, err := w.Load(cond); err != nil {
 			return nil, err
 		}
-		m := w.Server.Metrics.MapBytes.Load()
-		built := w.Server.Metrics.MapsBuilt.Load()
+		counters := w.Server.Telemetry().Snapshot().Counters
+		m, built := counters["server.map_bytes"], counters["server.maps_built"]
 		if built == 0 {
 			return nil, fmt.Errorf("harness: no maps built for site %d", siteIdx)
 		}

@@ -61,12 +61,8 @@ func TestAccessLogDisabled(t *testing.T) {
 	if s.RecentRequests() != nil {
 		t.Fatal("access log active without opt-in")
 	}
-	snap := s.Snapshot()
-	if snap.Recent != nil {
-		t.Fatal("snapshot leaked recent entries")
-	}
-	if snap.Requests != 1 {
-		t.Fatalf("snapshot requests = %d", snap.Requests)
+	if got := s.Telemetry().Counter("server.requests").Load(); got != 1 {
+		t.Fatalf("requests = %d", got)
 	}
 }
 
@@ -76,14 +72,14 @@ func TestSnapshotCounters(t *testing.T) {
 	first := get(t, s, "/d.jpg", nil)
 	get(t, s, "/d.jpg", map[string]string{"If-None-Match": first.Header().Get("Etag")})
 
-	snap := s.Snapshot()
-	if snap.Requests != 3 || snap.NotModified != 1 || snap.MapsBuilt != 1 {
-		t.Fatalf("snapshot = %+v", snap)
+	c := s.Telemetry().Snapshot().Counters
+	if c["server.requests"] != 3 || c["server.not_modified"] != 1 || c["server.maps_built"] != 1 {
+		t.Fatalf("counters = %v", c)
 	}
-	if snap.BodyBytes == 0 || snap.MapBytes == 0 {
-		t.Fatalf("byte counters empty: %+v", snap)
+	if c["server.body_bytes"] == 0 || c["server.map_bytes"] == 0 {
+		t.Fatalf("byte counters empty: %v", c)
 	}
-	if len(snap.Recent) != 3 {
-		t.Fatalf("recent = %d", len(snap.Recent))
+	if recent := s.RecentRequests(); len(recent) != 3 {
+		t.Fatalf("recent = %d", len(recent))
 	}
 }

@@ -46,10 +46,10 @@ type Options struct {
 	// hot pages instead of one giant one. (CachePolicy, by contrast, is
 	// this package's Cache-Control configuration — unrelated.)
 	RenderCachePolicy cachestore.Policy
-	// Telemetry, when set, indexes the server's counters, the
-	// rendered-page cache's counters, and a serve-latency histogram in
-	// the given registry under "server.*". The registry reads the same
-	// storage Metrics does.
+	// Telemetry is the registry the server's counters, the rendered-page
+	// cache's counters and a serve-latency histogram live in, under
+	// "server.*". Nil selects a private registry, readable through
+	// Server.Telemetry.
 	Telemetry *telemetry.Registry
 	// ServerTiming mirrors each response's cache decisions into a
 	// Server-Timing header, the back-channel clients use to annotate
@@ -87,31 +87,6 @@ type Options struct {
 	Delta bool
 }
 
-// Metrics counts server activity. All fields are atomic telemetry
-// counters: the real net/http path serves concurrently, and a registry
-// passed in Options.Telemetry indexes these same instruments.
-type Metrics struct {
-	Requests    telemetry.Counter
-	NotModified telemetry.Counter
-	NotFound    telemetry.Counter
-	BodyBytes   telemetry.Counter
-	MapsBuilt   telemetry.Counter
-	// MapBytes accumulates encoded X-Etag-Config sizes, the overhead the
-	// ablation benchmarks quantify.
-	MapBytes telemetry.Counter
-	// MapSheds counts HTML responses served without a map because the
-	// resolution gate (Options.MaxInflight) refused a slot in time.
-	MapSheds telemetry.Counter
-	// HintsSent counts responses that carried Link preload headers
-	// (Options.EarlyHints).
-	HintsSent telemetry.Counter
-	// DeltasServed counts HTML responses answered with a CCD1 patch
-	// instead of the full body; DeltaBytesSaved accumulates the size
-	// difference (full body minus patch).
-	DeltasServed    telemetry.Counter
-	DeltaBytesSaved telemetry.Counter
-}
-
 // Server is the web server under study. It implements http.Handler.
 type Server struct {
 	content  Content
@@ -121,9 +96,18 @@ type Server struct {
 	access   *accessLog
 	pages    *decorate.Stores           // the decoration pipeline's stores; nil unless Catalyst
 	mapGate  *resilience.Gate           // map-resolution admission; nil when disabled
-	serveNS  *telemetry.Histogram       // nil without telemetry
 	dateHdr  atomic.Pointer[dateHeader] // per-second Date value cache
-	Metrics  Metrics
+
+	serveNS *telemetry.Histogram
+	// The server's counters, held by the registry.
+	requests    *telemetry.Counter
+	notModified *telemetry.Counter
+	notFound    *telemetry.Counter
+	bodyBytes   *telemetry.Counter
+	mapsBuilt   *telemetry.Counter
+	mapBytes    *telemetry.Counter // encoded X-Etag-Config bytes, the overhead the ablations quantify
+	mapSheds    *telemetry.Counter // HTML served without a map: the gate (MaxInflight) refused a slot
+	hintsSent   *telemetry.Counter // responses carrying Link preload headers (EarlyHints)
 }
 
 // dateHeader caches one second's worth of Date header value: HTTP dates
@@ -154,7 +138,24 @@ func New(content Content, opts Options) *Server {
 	if opts.Clock == nil {
 		opts.Clock = vclock.System{}
 	}
-	s := &Server{content: content, opts: opts, resolver: contentResolver{content: content}}
+	if opts.Telemetry == nil {
+		opts.Telemetry = telemetry.NewRegistry()
+	}
+	reg := opts.Telemetry
+	s := &Server{
+		content:     content,
+		opts:        opts,
+		resolver:    contentResolver{content: content},
+		serveNS:     reg.Histogram("server.serve_ns"),
+		requests:    reg.Counter("server.requests"),
+		notModified: reg.Counter("server.not_modified"),
+		notFound:    reg.Counter("server.not_found"),
+		bodyBytes:   reg.Counter("server.body_bytes"),
+		mapsBuilt:   reg.Counter("server.maps_built"),
+		mapBytes:    reg.Counter("server.map_bytes"),
+		mapSheds:    reg.Counter("server.map_sheds"),
+		hintsSent:   reg.Counter("server.hints_sent"),
+	}
 	if opts.Record {
 		s.recorder = NewRecorder()
 	}
@@ -163,41 +164,26 @@ func New(content Content, opts Options) *Server {
 	}
 	if opts.Catalyst {
 		s.pages = decorate.New(decorate.Options{
-			Name:            "server",
-			MaxRenderBytes:  opts.MaxRenderBytes,
-			Delta:           opts.Delta,
-			Policy:          opts.RenderCachePolicy,
-			Telemetry:       opts.Telemetry,
-			ServerTiming:    opts.ServerTiming,
-			DeltasServed:    &s.Metrics.DeltasServed,
-			DeltaBytesSaved: &s.Metrics.DeltaBytesSaved,
+			Name:           "server",
+			MaxRenderBytes: opts.MaxRenderBytes,
+			Delta:          opts.Delta,
+			Policy:         opts.RenderCachePolicy,
+			Telemetry:      reg,
+			ServerTiming:   opts.ServerTiming,
 		})
 	}
 	if opts.MaxInflight > 0 {
 		s.mapGate = resilience.NewGate(resilience.GateOptions{
 			MaxInflight:  opts.MaxInflight,
 			QueueTimeout: opts.QueueTimeout,
-			Telemetry:    opts.Telemetry,
+			Telemetry:    reg,
 			Name:         "server.gate",
 		})
-	}
-	if opts.Telemetry != nil {
-		opts.Telemetry.RegisterCounter("server.requests", &s.Metrics.Requests)
-		opts.Telemetry.RegisterCounter("server.not_modified", &s.Metrics.NotModified)
-		opts.Telemetry.RegisterCounter("server.not_found", &s.Metrics.NotFound)
-		opts.Telemetry.RegisterCounter("server.body_bytes", &s.Metrics.BodyBytes)
-		opts.Telemetry.RegisterCounter("server.maps_built", &s.Metrics.MapsBuilt)
-		opts.Telemetry.RegisterCounter("server.map_bytes", &s.Metrics.MapBytes)
-		opts.Telemetry.RegisterCounter("server.map_sheds", &s.Metrics.MapSheds)
-		opts.Telemetry.RegisterCounter("server.hints_sent", &s.Metrics.HintsSent)
-		opts.Telemetry.RegisterCounter("server.deltas_served", &s.Metrics.DeltasServed)
-		opts.Telemetry.RegisterCounter("server.delta_bytes_saved", &s.Metrics.DeltaBytesSaved)
-		s.serveNS = opts.Telemetry.Histogram("server.serve_ns")
 	}
 	return s
 }
 
-// Telemetry returns the registry the server was wired into, or nil.
+// Telemetry returns the registry holding the server's instruments.
 func (s *Server) Telemetry() *telemetry.Registry { return s.opts.Telemetry }
 
 // Content returns the content source the server serves.
@@ -213,11 +199,7 @@ func (s *Server) Recorder() *Recorder { return s.recorder }
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// The latency observation wraps serve as a plain call rather than a
 	// deferred closure: the closure (and its captured start) would cost an
-	// allocation on every instrumented request.
-	if s.serveNS == nil {
-		s.serve(w, r)
-		return
-	}
+	// allocation on every request.
 	start := time.Now()
 	s.serve(w, r)
 	s.serveNS.Observe(time.Since(start).Nanoseconds())
@@ -245,7 +227,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 	}
 	h := w.Header()
 
-	s.Metrics.Requests.Add(1)
+	s.requests.Add(1)
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		s.logAccess(r, http.StatusMethodNotAllowed, 0, 0)
@@ -266,7 +248,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 
 	res, ok := s.content.Get(p)
 	if !ok {
-		s.Metrics.NotFound.Add(1)
+		s.notFound.Add(1)
 		s.decide(ctx, h, "not-found", p)
 		http.NotFound(w, r)
 		s.logAccess(r, http.StatusNotFound, 0, 0)
@@ -299,7 +281,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.opts.EarlyHints && isHTML && decorate.AddPreloadLinks(h, core.ExtractPageRefs(p, string(res.Body))) {
-		s.Metrics.HintsSent.Add(1)
+		s.hintsSent.Add(1)
 		s.decide(ctx, h, "hints", p)
 	}
 	if s.recorder != nil && !isHTML {
@@ -335,7 +317,7 @@ func (s *Server) serveDecorated(ctx context.Context, w http.ResponseWriter, r *h
 	h := w.Header()
 	ent := s.pages.Render(p, res.Body, res.headerValues().tagStr)
 	if s.opts.EarlyHints && decorate.AddPreloadLinks(h, ent.Refs) {
-		s.Metrics.HintsSent.Add(1)
+		s.hintsSent.Add(1)
 		s.decide(ctx, h, "hints", p)
 	}
 	// The resolve phase is the only stage with fan-out amplification, so
@@ -343,7 +325,7 @@ func (s *Server) serveDecorated(ctx context.Context, w http.ResponseWriter, r *h
 	// rather than queueing behind a saturated resolver.
 	enc := ""
 	if err := s.admitMap(ctx); err != nil {
-		s.Metrics.MapSheds.Add(1)
+		s.mapSheds.Add(1)
 		s.decide(ctx, h, "map-shed", p)
 	} else {
 		m := s.resolveMap(ctx, p, ent.Refs, sessionID)
@@ -351,8 +333,8 @@ func (s *Server) serveDecorated(ctx context.Context, w http.ResponseWriter, r *h
 		mapEntries = len(m)
 		enc = m.Encode()
 		h.Set(core.HeaderName, enc)
-		s.Metrics.MapsBuilt.Add(1)
-		s.Metrics.MapBytes.Add(int64(core.WireSizeOf(enc)))
+		s.mapsBuilt.Add(1)
+		s.mapBytes.Add(int64(core.WireSizeOf(enc)))
 		s.decide(ctx, h, "map-built", p)
 	}
 	status, n = s.pages.Respond(ctx, w, r, p, ent, enc, res.LastModified)
@@ -362,9 +344,9 @@ func (s *Server) serveDecorated(ctx context.Context, w http.ResponseWriter, r *h
 // count adds one answered request to the status and body counters.
 func (s *Server) count(status, n int) {
 	if status == http.StatusNotModified {
-		s.Metrics.NotModified.Add(1)
+		s.notModified.Add(1)
 	} else if n > 0 {
-		s.Metrics.BodyBytes.Add(int64(n))
+		s.bodyBytes.Add(int64(n))
 	}
 }
 

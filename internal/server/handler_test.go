@@ -64,7 +64,7 @@ func TestNotFound(t *testing.T) {
 	if rec := get(t, s, "/ghost.js", nil); rec.Code != 404 {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	if s.Metrics.NotFound.Load() != 1 {
+	if s.Telemetry().Counter("server.not_found").Load() != 1 {
 		t.Error("NotFound metric not counted")
 	}
 }
@@ -100,7 +100,7 @@ func TestConditionalGet304(t *testing.T) {
 	if second.Body.Len() != 0 {
 		t.Error("304 carried a body")
 	}
-	if s.Metrics.NotModified.Load() != 1 {
+	if s.Telemetry().Counter("server.not_modified").Load() != 1 {
 		t.Error("NotModified metric not counted")
 	}
 	// A stale validator gets the full body.
@@ -187,7 +187,7 @@ func TestCatalystHTMLGetsMapAndInjection(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), core.RegistrationSnippet) {
 		t.Error("registration snippet not injected")
 	}
-	if s.Metrics.MapsBuilt.Load() != 1 || s.Metrics.MapBytes.Load() == 0 {
+	if s.Telemetry().Counter("server.maps_built").Load() != 1 || s.Telemetry().Counter("server.map_bytes").Load() == 0 {
 		t.Error("map metrics not counted")
 	}
 }

@@ -61,7 +61,7 @@ func TestServerShedsMapUnderGate(t *testing.T) {
 	if rec.Header().Get(core.HeaderName) != "" {
 		t.Fatal("shed request still carries a map")
 	}
-	if got := s.Metrics.MapSheds.Load(); got != 1 {
+	if got := s.Telemetry().Counter("server.map_sheds").Load(); got != 1 {
 		t.Fatalf("MapSheds = %d", got)
 	}
 	if rec.Header().Get("Etag") == "" {

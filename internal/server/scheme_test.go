@@ -35,8 +35,8 @@ func TestEarlyHintsEmitsPreloadLinks(t *testing.T) {
 			t.Errorf("no preload hint for %s in %v", k, links)
 		}
 	}
-	if s.Metrics.HintsSent.Load() != 1 {
-		t.Errorf("HintsSent = %d, want 1", s.Metrics.HintsSent.Load())
+	if s.Telemetry().Counter("server.hints_sent").Load() != 1 {
+		t.Errorf("HintsSent = %d, want 1", s.Telemetry().Counter("server.hints_sent").Load())
 	}
 	// Non-HTML responses carry no hints.
 	if got := get(t, s, "/a.css", nil).Header().Values("Link"); len(got) != 0 {
@@ -106,8 +106,8 @@ func TestDeltaServesPatch(t *testing.T) {
 	if !bytes.Equal(patched, full.Body.Bytes()) {
 		t.Fatal("patched body differs from full body")
 	}
-	if s.Metrics.DeltasServed.Load() != 1 || s.Metrics.DeltaBytesSaved.Load() <= 0 {
-		t.Fatalf("metrics = served %d, saved %d", s.Metrics.DeltasServed.Load(), s.Metrics.DeltaBytesSaved.Load())
+	if s.Telemetry().Counter("server.deltas_served").Load() != 1 || s.Telemetry().Counter("server.delta_bytes_saved").Load() <= 0 {
+		t.Fatalf("metrics = served %d, saved %d", s.Telemetry().Counter("server.deltas_served").Load(), s.Telemetry().Counter("server.delta_bytes_saved").Load())
 	}
 }
 
@@ -136,7 +136,7 @@ func TestDeltaPrefers304OverPatch(t *testing.T) {
 	if rec.Code != 304 {
 		t.Fatalf("status = %d, want 304 when the validator still matches", rec.Code)
 	}
-	if s.Metrics.DeltasServed.Load() != 0 {
+	if s.Telemetry().Counter("server.deltas_served").Load() != 0 {
 		t.Fatal("diff computed on the 304 path")
 	}
 }

@@ -10,11 +10,14 @@
 // ad-hoc counter struct; they now all register their instruments here, so
 // one snapshot covers the whole stack and /debug/catalystd can serve it.
 //
-// Instruments are zero-value-usable value types (like atomic.Int64), so a
-// legacy counter struct can keep its exported fields and Snapshot() API
-// while the registry holds pointers to the very same storage: the struct
-// becomes a *view* over registry-backed instruments, with no second copy of
-// the counts anywhere.
+// A count is declared once, in the registry. The serving stack (server,
+// middleware, client, cluster exchange) takes each counter as a handle the
+// registry mints, one line giving its name and its storage, and has no
+// other way to read it. Instruments are also zero-value-usable value types
+// (like atomic.Int64), so a component that embeds its own — cachestore,
+// the resilience gate and breakers, the simulator's stats structs — hands
+// the registry pointers to that storage instead; either way there is no
+// second copy of the counts anywhere.
 package telemetry
 
 import (
@@ -25,10 +28,8 @@ import (
 )
 
 // Counter is a monotonically increasing instrument. The zero value is ready
-// to use; like atomic.Int64 it must not be copied after first use. Its
-// method set deliberately matches how the repository's legacy counter
-// structs used atomic.Int64 (Add/Load), so rebasing a struct onto Counter
-// is a type change, not a call-site change.
+// to use; like atomic.Int64 it must not be copied after first use, and
+// like atomic.Int64 it is read with Load and bumped with Add.
 type Counter struct {
 	v atomic.Int64
 }
@@ -170,9 +171,8 @@ func quantile(counts []int64, total int64, q float64) int64 {
 // Registry is a named collection of instruments. All methods are safe for
 // concurrent use. Components either ask the registry to mint an instrument
 // (Counter/Gauge/Histogram, get-or-create) or register instruments they
-// already own (RegisterCounter and friends) — the latter is how the legacy
-// counter structs became views: their fields are the storage, the registry
-// just indexes them.
+// already own (RegisterCounter and friends), whose storage the registry
+// then just indexes.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
